@@ -1,6 +1,8 @@
 """Exact certifiers and refuters for partition and density regularity of
 polynomial equations over Z and GF(q)[t]."""
 
+__version__ = "0.1.0"
+
 from .colorings import ColoringSpec, color_of, parse_coloring_spec, refutation_scan
 from .polys import (
     MultiPoly,
@@ -45,5 +47,3 @@ from .windows import (
     enumerate_roots,
     semidecide_l_pr,
 )
-
-__version__ = "0.1.0"

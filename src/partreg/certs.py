@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from . import colorings, polys, rado, rings, windows
+from . import __version__, colorings, polys, rado, rings, windows
 from .rings import ParseError
 
 SCHEMA_VERSION = 1
-TOOL_VERSION = windows.TOOL_VERSION
+TOOL_VERSION = __version__
 
 
 # ---------------------------------------------------------------------------

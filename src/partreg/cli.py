@@ -21,7 +21,7 @@ EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 
-def _parse_window(domain, text, poly_hint=None):
+def _parse_window(domain, text):
     if text.startswith("prefix:"):
         return windows.Window.enumeration_prefix(domain, int(text.split(":", 1)[1]))
     if text.startswith("list:"):

@@ -10,10 +10,12 @@ same solution set.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from . import rings
 from .rings import (
+    DomainElement,
     DomainTag,
     ParseError,
     field_from_ring,
@@ -243,17 +245,8 @@ def is_translation_invariant(p):
     if p.nvars == 0 or p.is_zero():
         return True
     n = p.nvars
-    shifted_vars = [
-        MultiPoly(
-            p.domain,
-            n + 1,
-            {
-                tuple(1 if j == i else 0 for j in range(n + 1)): one(p.domain),
-                tuple(1 if j == n else 0 for j in range(n + 1)): one(p.domain),
-            },
-        )
-        for i in range(n)
-    ]
+    r = MultiPoly.variable(p.domain, n + 1, n)
+    shifted_vars = [MultiPoly.variable(p.domain, n + 1, i) + r for i in range(n)]
     return p.compose(shifted_vars) == p.lift(n + 1)
 
 
@@ -302,13 +295,40 @@ def combine_system(ps):
 # ---------------------------------------------------------------------------
 
 
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|\+|-|\(|\)))")
+
+
+def tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            if text[pos:].strip() == "":
+                break
+            raise ParseError("unexpected character", text, pos)
+        if m.group(1):
+            tokens.append(("int", int(m.group(1)), pos))
+        elif m.group(2):
+            tokens.append(("name", m.group(2), pos))
+        else:
+            tokens.append(("op", m.group(3), pos))
+        pos = m.end()
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
 class _PolyParser:
-    """Expression parser over named variables with ring-element literals."""
+    """The expression parser: named variables, t over GF(q)[t], integer literals.
+
+    An integer literal over GF(q)[t] is a coefficient code in [0, q), exactly
+    as rings.format_element prints it, so printed output parses back.
+    """
 
     def __init__(self, domain, text, var_order=None):
         self.domain = domain
         self.text = text
-        self.tokens = rings.tokenize(text)
+        self.tokens = tokenize(text)
         self.i = 0
         self.fixed_order = var_order is not None
         self.var_order = list(var_order) if var_order else []
@@ -397,7 +417,11 @@ class _PolyParser:
         kind, val, pos = self.next()
         n = len(self.var_order)
         if kind == "int":
-            return MultiPoly.constant(self.domain, n, from_int(self.domain, val))
+            if self.domain.kind == "Z":
+                return MultiPoly.constant(self.domain, n, val)
+            code = val % self.domain.q
+            coeff = DomainElement(self.domain, (code,) if code else ())
+            return MultiPoly.constant(self.domain, n, coeff)
         if kind == "name":
             if val == "t" and self.domain.kind == "GFqt":
                 return MultiPoly.constant(self.domain, n, t_element(self.domain))

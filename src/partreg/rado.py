@@ -213,15 +213,3 @@ def verify_witness(system, witness):
         earlier.extend(cell)
     return True
 
-
-def linear_poly(system, row=None):
-    """The linear polynomial sum_j a_j * x_j of one row (default: row 0)."""
-    from .polys import MultiPoly
-
-    coeffs = system.entries[row or 0]
-    n = len(coeffs)
-    terms = {}
-    for j, c in enumerate(coeffs):
-        if not c.is_zero():
-            terms[tuple(1 if i == j else 0 for i in range(n))] = c
-    return MultiPoly(system.domain, n, terms)

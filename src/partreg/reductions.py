@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 
 from .polys import MultiPoly, eval_field, is_homogeneous, is_translation_invariant
-from .rings import field_from_ring, from_int, nonzero_prefix, one
+from .rings import field_from_ring, nonzero_prefix, one
 
 TRANSFORM_IDS = ("shift", "q3", "dq4", "gate:mul", "gate:add")
 
@@ -39,26 +39,38 @@ class ReductionReport:
 
 def htp_shift(p):
     """p'(y1..yn, z1..zn) = p(y1+z1, ..., yn+zn); arity doubles."""
-    n = p.nvars
-    domain = p.domain
-    subs = []
-    for i in range(n):
-        terms = {}
-        for j in (i, n + i):
-            terms[tuple(1 if k == j else 0 for k in range(2 * n))] = one(domain)
-        subs.append(MultiPoly(domain, 2 * n, terms))
-    return p.compose(subs)
+    n, domain = p.nvars, p.domain
+    variables = [MultiPoly.variable(domain, 2 * n, i) for i in range(2 * n)]
+    return p.compose([variables[i] + variables[n + i] for i in range(n)])
 
 
 def _block_difference(domain, nvars, i, j):
-    return MultiPoly(
-        domain,
-        nvars,
-        {
-            tuple(1 if k == i else 0 for k in range(nvars)): one(domain),
-            tuple(1 if k == j else 0 for k in range(nvars)): from_int(domain, -1),
-        },
-    )
+    return MultiPoly.variable(domain, nvars, i) - MultiPoly.variable(domain, nvars, j)
+
+
+def _substitute_and_clear(p, blocks, nvars):
+    """Clear p(n_1/d_1, ..., n_k/d_k) with (prod d_i)^deg(p).
+
+    blocks[i] is the (numerator, denominator) pair of polynomials in nvars
+    variables that replaces variable i; a None denominator substitutes the
+    numerator alone and clears nothing.  Each block power is built once.
+    """
+    degree = p.degree()
+    domain = p.domain
+    out = MultiPoly.zero(domain, nvars)
+    factors = {}
+    for exps, coeff in p.terms.items():
+        term = MultiPoly.constant(domain, nvars, coeff)
+        for i, e in enumerate(exps):
+            key = (i, e)
+            if key not in factors:
+                numerator, denominator = blocks[i]
+                factors[key] = numerator**e
+                if denominator is not None:
+                    factors[key] = factors[key] * denominator ** (degree - e)
+            term = term * factors[key]
+        out = out + term
+    return out
 
 
 def quotient3_homogenize(p, var_indices=None):
@@ -72,53 +84,33 @@ def quotient3_homogenize(p, var_indices=None):
     k = p.nvars
     if var_indices is None:
         var_indices = list(range(k))
-    var_indices = sorted(set(var_indices))
-    degree = p.degree()
-    domain = p.domain
-
+    var_indices = set(var_indices)
     # layout: transformed variable -> 3 consecutive slots, others -> 1 slot
-    slots = []
-    total = 0
+    total = sum(3 if i in var_indices else 1 for i in range(k))
+    blocks = []
+    start = 0
     for i in range(k):
-        width = 3 if i in var_indices else 1
-        slots.append((total, width))
-        total += width
-
-    out = MultiPoly.zero(domain, total)
-    for exps, coeff in p.terms.items():
-        term = MultiPoly.constant(domain, total, coeff)
-        for i, e in enumerate(exps):
-            start, width = slots[i]
-            if width == 1:
-                if e:
-                    term = term * MultiPoly.variable(domain, total, start) ** e
-                continue
-            numerator = _block_difference(domain, total, start, start + 1)
-            denominator = MultiPoly.variable(domain, total, start + 2)
-            if e:
-                term = term * numerator**e
-            term = term * denominator ** (degree - e)
-        out = out + term
-    return out
+        if i in var_indices:
+            numerator = _block_difference(p.domain, total, start, start + 1)
+            blocks.append((numerator, MultiPoly.variable(p.domain, total, start + 2)))
+            start += 3
+        else:
+            blocks.append((MultiPoly.variable(p.domain, total, start), None))
+            start += 1
+    return _substitute_and_clear(p, blocks, total)
 
 
 def diffquotient4_homogenize(p):
     """Clear p((z1-z2)/(z3-z4), ...) with (prod (z_{4i-1}-z_{4i}))^deg(p)."""
-    k = p.nvars
-    degree = p.degree()
-    domain = p.domain
-    total = 4 * k
-    out = MultiPoly.zero(domain, total)
-    for exps, coeff in p.terms.items():
-        term = MultiPoly.constant(domain, total, coeff)
-        for i, e in enumerate(exps):
-            numerator = _block_difference(domain, total, 4 * i, 4 * i + 1)
-            denominator = _block_difference(domain, total, 4 * i + 2, 4 * i + 3)
-            if e:
-                term = term * numerator**e
-            term = term * denominator ** (degree - e)
-        out = out + term
-    return out
+    total = 4 * p.nvars
+    blocks = [
+        (
+            _block_difference(p.domain, total, 4 * i, 4 * i + 1),
+            _block_difference(p.domain, total, 4 * i + 2, 4 * i + 3),
+        )
+        for i in range(p.nvars)
+    ]
+    return _substitute_and_clear(p, blocks, total)
 
 
 def ratio_gate(p, mode, var_index):
@@ -155,7 +147,7 @@ def ratio_gate(p, mode, var_index):
 # ---------------------------------------------------------------------------
 
 
-def _random_field_point(domain, count, rng, forbid_zero=True):
+def _random_field_point(domain, count, rng):
     pool = nonzero_prefix(domain, 40)
     point = []
     for _ in range(count):
@@ -163,48 +155,27 @@ def _random_field_point(domain, count, rng, forbid_zero=True):
     return point
 
 
-def _identity_q3(p, out, rng, samples=25):
-    degree = p.degree()
-    domain = p.domain
-    for _ in range(samples):
-        z = _random_field_point(domain, 3 * p.nvars, rng)
-        quotients = []
-        clearing = field_from_ring(one(domain))
-        ok = True
-        for i in range(p.nvars):
-            za, zb, zc = z[3 * i], z[3 * i + 1], z[3 * i + 2]
-            if zc.is_zero():
-                ok = False
-                break
-            quotients.append((za - zb) / zc)
-            clearing = clearing * zc**degree
-        if not ok:
-            continue
-        if eval_field(out, z) != eval_field(p, quotients) * clearing:
-            return False
-    return True
+def _identity_quotient(p, out, width, rng, samples=25):
+    """Sampled check that out(z) = p(quotients) * clearing for q3 or dq4.
 
-
-def _identity_dq4(p, out, rng, samples=25):
+    Each variable owns a block of width 3 ((z1-z2)/z3) or 4 ((z1-z2)/(z3-z4))
+    coordinates of the sample point.
+    """
     degree = p.degree()
-    domain = p.domain
     for _ in range(samples):
-        z = _random_field_point(domain, 4 * p.nvars, rng)
+        z = _random_field_point(p.domain, width * p.nvars, rng)
         quotients = []
-        clearing = field_from_ring(one(domain))
-        ok = True
+        clearing = field_from_ring(one(p.domain))
         for i in range(p.nvars):
-            za, zb, zc, zd = z[4 * i : 4 * i + 4]
-            diff = zc - zd
-            if diff.is_zero():
-                ok = False
+            block = z[width * i : width * (i + 1)]
+            denominator = block[2] - block[3] if width == 4 else block[2]
+            if denominator.is_zero():
                 break
-            quotients.append((za - zb) / diff)
-            clearing = clearing * diff**degree
-        if not ok:
-            continue
-        if eval_field(out, z) != eval_field(p, quotients) * clearing:
-            return False
+            quotients.append((block[0] - block[1]) / denominator)
+            clearing = clearing * denominator**degree
+        else:
+            if eval_field(out, z) != eval_field(p, quotients) * clearing:
+                return False
     return True
 
 
@@ -239,21 +210,13 @@ def apply_transform(p, transform_id, var_index=0, rng=None):
         ]
         if p.compose(subs) == out:
             verified.append("identity-checked")
-    elif transform_id == "q3":
-        out = quotient3_homogenize(p)
-        expected = p.nvars * p.degree()
-        if not p.is_zero() and is_homogeneous(out) == expected:
+    elif transform_id in ("q3", "dq4"):
+        out = quotient3_homogenize(p) if transform_id == "q3" else diffquotient4_homogenize(p)
+        if not p.is_zero() and is_homogeneous(out) == p.nvars * p.degree():
             verified.append("homogeneous")
-        if _identity_q3(p, out, rng):
-            verified.append("identity-checked")
-    elif transform_id == "dq4":
-        out = diffquotient4_homogenize(p)
-        expected = p.nvars * p.degree()
-        if not p.is_zero() and is_homogeneous(out) == expected:
-            verified.append("homogeneous")
-        if is_translation_invariant(out):
+        if transform_id == "dq4" and is_translation_invariant(out):
             verified.append("translation-invariant")
-        if _identity_dq4(p, out, rng):
+        if _identity_quotient(p, out, 3 if transform_id == "q3" else 4, rng):
             verified.append("identity-checked")
     elif transform_id in ("gate:mul", "gate:add"):
         mode = "multiplicative" if transform_id == "gate:mul" else "additive"

@@ -65,76 +65,61 @@ def _trim(coeffs):
     return coeffs
 
 
-def _fp_add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
+# Coefficient-list arithmetic over a coefficient field F (little-endian lists
+# of F's codes, results trimmed).  GF(q)[t] elements, the GF(p^e) field built
+# as GF(p)[u] modulo an irreducible, and the irreducibility search all use it.
+
+
+def _poly_add(F, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    add = F.add
     for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
+        out[i] = add(out[i], c)
     return _trim(out)
 
 
-def _fp_mul(a, b, p):
+def _poly_neg(F, a):
+    return [F.neg(c) for c in a]
+
+
+def _poly_mul(F, a, b):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
+    add, mul = F.add, F.mul
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % p
+                out[i + j] = add(out[i + j], mul(ca, cb))
     return _trim(out)
 
 
-def _fp_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _poly_divmod(F, a, b):
+    """Quotient and remainder of a by a nonzero b."""
     rem = list(a)
     quo = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], -1, p)
+    inv_lead = F.inv(b[-1])
+    sub, mul = F.sub, F.mul
     while len(rem) >= len(b):
-        c = (rem[-1] * inv_lead) % p
+        c = mul(rem[-1], inv_lead)
         d = len(rem) - len(b)
         quo[d] = c
         for i, cb in enumerate(b):
-            rem[d + i] = (rem[d + i] - c * cb) % p
+            rem[d + i] = sub(rem[d + i], mul(c, cb))
         _trim(rem)
-        if not rem:
-            break
     return _trim(quo), rem
-
-
-def _fp_irreducible(f, p):
-    # trial division by every monic polynomial of degree <= deg(f)/2
-    d = len(f) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    for deg in range(1, d // 2 + 1):
-        for code in range(p**deg):
-            g = []
-            c = code
-            for _ in range(deg):
-                g.append(c % p)
-                c //= p
-            g.append(1)
-            if not _fp_divmod(f, g, p)[1]:
-                return False
-    return True
 
 
 @functools.lru_cache(maxsize=None)
 def _least_irreducible(p, e):
-    for code in range(p**e):
-        f = []
-        c = code
-        for _ in range(e):
-            f.append(c % p)
-            c //= p
-        f.append(1)
-        if _fp_irreducible(f, p):
-            return tuple(f)
+    """The lex-least monic irreducible of degree e over GF(p), low degree first."""
+    domain = gf_poly_domain(p)
+    for index in range(p**e, 2 * p**e):  # the monic polynomials of degree e
+        f = enum_element(domain, index)
+        if is_irreducible(f):
+            return f.value
     raise AssertionError("no irreducible modulus found")  # unreachable
 
 
@@ -164,54 +149,43 @@ class _PrimeField:
         return n % self.q
 
 
+_OP_CACHE_SIZE = 1 << 16  # memoised results per GF(p^e) op
+
+
 class _ExtensionField:
-    """GF(p^e) via a fixed lex-least irreducible modulus over GF(p)."""
+    """GF(p^e) as GF(p)[u] modulo the lex-least monic irreducible of degree e.
+
+    The code of a residue is its enumeration index in GF(p)[t]: the base-p
+    digits are its coefficients, low degree first.  Each op is memoised per
+    operand pair in a fixed-size cache instead of a q x q table, so a large
+    field such as GF(2^16) costs nothing up front.
+    """
 
     def __init__(self, p, e):
         self.p = p
-        self.e = e
         self.q = p**e
-        self.modulus = list(_least_irreducible(p, e))
+        self.modulus = _least_irreducible(p, e)
+        base = gf_poly_domain(p)
+        modulus = DomainElement(base, self.modulus)
+        residue = functools.partial(enum_element, base)
+        memo = functools.lru_cache(maxsize=_OP_CACHE_SIZE)
+        self.add = memo(lambda a, b: enum_index(residue(a) + residue(b)))
+        self.neg = memo(lambda a: enum_index(-residue(a)))
+        self.sub = memo(lambda a, b: enum_index(residue(a) - residue(b)))
+        self.mul = memo(lambda a, b: enum_index((residue(a) * residue(b)).divmod(modulus)[1]))
+        self.inv = memo(self._inv)
 
-    def _dec(self, a):
-        digits = []
-        while a:
-            digits.append(a % self.p)
-            a //= self.p
-        return digits
-
-    def _enc(self, digits):
-        v = 0
-        for d in reversed(digits):
-            v = v * self.p + d
-        return v
-
-    def add(self, a, b):
-        return self._enc(_fp_add(self._dec(a), self._dec(b), self.p))
-
-    def neg(self, a):
-        return self._enc([(-c) % self.p for c in self._dec(a)])
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        prod = _fp_mul(self._dec(a), self._dec(b), self.p)
-        return self._enc(_fp_divmod(prod, self.modulus, self.p)[1])
-
-    def inv(self, a):
+    def _inv(self, a):
+        # a^(q-2) by square and multiply
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(q)")
-        # extended Euclid over GF(p)[u]
-        r0, r1 = self.modulus, self._dec(a)
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _fp_divmod(r0, r1, self.p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _fp_add(s0, [(-c) % self.p for c in _fp_mul(q, s1, self.p)], self.p)
-        # r0 is a nonzero constant gcd
-        c_inv = pow(r0[0], -1, self.p)
-        return self._enc([(c * c_inv) % self.p for c in s0])
+        result, n = 1, self.q - 2
+        while n:
+            if n & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            n >>= 1
+        return result
 
     def from_int(self, n):
         return n % self.p
@@ -331,19 +305,12 @@ class DomainElement:
         if self.domain.kind == "Z":
             return DomainElement(self.domain, self.value + other.value)
         F = self.domain.coeff_field
-        n = max(len(self.value), len(other.value))
-        out = [0] * n
-        for i, c in enumerate(self.value):
-            out[i] = c
-        for i, c in enumerate(other.value):
-            out[i] = F.add(out[i], c)
-        return DomainElement(self.domain, tuple(_trim(out)))
+        return DomainElement(self.domain, _poly_add(F, self.value, other.value))
 
     def __neg__(self):
         if self.domain.kind == "Z":
             return DomainElement(self.domain, -self.value)
-        F = self.domain.coeff_field
-        return DomainElement(self.domain, tuple(F.neg(c) for c in self.value))
+        return DomainElement(self.domain, _poly_neg(self.domain.coeff_field, self.value))
 
     def __sub__(self, other):
         return self + (-other)
@@ -352,15 +319,8 @@ class DomainElement:
         self._check(other)
         if self.domain.kind == "Z":
             return DomainElement(self.domain, self.value * other.value)
-        if self.is_zero() or other.is_zero():
-            return zero(self.domain)
         F = self.domain.coeff_field
-        out = [0] * (len(self.value) + len(other.value) - 1)
-        for i, ca in enumerate(self.value):
-            if ca:
-                for j, cb in enumerate(other.value):
-                    out[i + j] = F.add(out[i + j], F.mul(ca, cb))
-        return DomainElement(self.domain, tuple(_trim(out)))
+        return DomainElement(self.domain, _poly_mul(F, self.value, other.value))
 
     def __pow__(self, n):
         if n < 0:
@@ -381,23 +341,8 @@ class DomainElement:
         if self.domain.kind == "Z":
             q, r = divmod(self.value, other.value)
             return DomainElement(self.domain, q), DomainElement(self.domain, r)
-        F = self.domain.coeff_field
-        rem = list(self.value)
-        quo = [0] * max(len(rem) - len(other.value) + 1, 0)
-        inv_lead = F.inv(other.value[-1])
-        while len(rem) >= len(other.value):
-            c = F.mul(rem[-1], inv_lead)
-            d = len(rem) - len(other.value)
-            quo[d] = c
-            for i, cb in enumerate(other.value):
-                rem[d + i] = F.sub(rem[d + i], F.mul(c, cb))
-            _trim(rem)
-            if not rem:
-                break
-        return (
-            DomainElement(self.domain, tuple(_trim(quo))),
-            DomainElement(self.domain, tuple(rem)),
-        )
+        quo, rem = _poly_divmod(self.domain.coeff_field, self.value, other.value)
+        return DomainElement(self.domain, quo), DomainElement(self.domain, rem)
 
     def exact_div(self, other):
         q, r = self.divmod(other)
@@ -449,12 +394,6 @@ def t_element(domain):
     if domain.kind != "GFqt":
         raise ValueError("t only exists in GF(q)[t]")
     return DomainElement(domain, (0, 1))
-
-
-def gf_element(domain, coeffs):
-    """Build a GF(q)[t] element from little-endian integer coefficients."""
-    F = domain.coeff_field
-    return DomainElement(domain, tuple(_trim([c % F.q if isinstance(F, _PrimeField) else c for c in coeffs])))
 
 
 def arith(domain, op, a, b):
@@ -519,14 +458,7 @@ def enumeration_scheme_id(domain):
 
 def nonzero_prefix(domain, k):
     """The first k nonzero elements in enumeration order."""
-    out = []
-    i = 1
-    while len(out) < k:
-        e = enum_element(domain, i)
-        if not e.is_zero():
-            out.append(e)
-        i += 1
-    return out
+    return [enum_element(domain, i) for i in range(1, k + 1)]  # index 0 is the only zero
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +530,7 @@ def frac_normalize(domain, num, den):
     if num.is_zero():
         return FieldElement(zero(domain), one(domain))
     g = gcd(num, den)
-    if not g.is_unit() or not g.is_one():
+    if not g.is_one():
         num = num.exact_div(g)
         den = den.exact_div(g)
     if domain.kind == "Z":
@@ -617,10 +549,6 @@ def field_zero(domain):
     return FieldElement(zero(domain), one(domain))
 
 
-def field_one(domain):
-    return FieldElement(one(domain), one(domain))
-
-
 def field_from_ring(x):
     return FieldElement(x, one(x.domain))
 
@@ -634,22 +562,14 @@ def is_irreducible(x):
     """True iff x is irreducible in its domain (prime in Z, irreducible poly)."""
     if x.domain.kind == "Z":
         return isprime(abs(x.value))
+    # trial division by every monic polynomial of degree 1..deg(x)/2
     d = x.degree()
     if d <= 0:
         return False
-    if d == 1:
-        return True
+    q = x.domain.q
     for deg in range(1, d // 2 + 1):
-        q = x.domain.q
-        for code in range(q**deg):
-            coeffs = []
-            c = code
-            for _ in range(deg):
-                coeffs.append(c % q)
-                c //= q
-            coeffs.append(1)
-            g = DomainElement(x.domain, tuple(coeffs))
-            if g.divides(x):
+        for index in range(q**deg, 2 * q**deg):  # the monic ones of degree deg
+            if enum_element(x.domain, index).divides(x):
                 return False
     return True
 
@@ -674,130 +594,22 @@ def ord_at(x, prime):
         n += 1
 
 
-def ord_at_field(x, prime):
-    """ord extended to the fraction field (a homomorphism K^x -> Z)."""
-    if x.is_zero():
-        return OrdResult(0, True)
-    return OrdResult(ord_at(x.num, prime).value - ord_at(x.den, prime).value, False)
-
-
 # ---------------------------------------------------------------------------
 # element text syntax
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^|\*|\+|-|\(|\)))")
-
-
-def tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError("unexpected character", text, pos)
-        if m.group(1):
-            tokens.append(("int", int(m.group(1)), pos))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), pos))
-        else:
-            tokens.append(("op", m.group(3), pos))
-        pos = m.end()
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-class _ElementParser:
-    """Recursive-descent parser for ring element expressions in t."""
-
-    def __init__(self, domain, text):
-        self.domain = domain
-        self.text = text
-        self.tokens = tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expr(self):
-        kind, val, pos = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            self.next()
-            negate = val == "-"
-        acc = self.term()
-        if negate:
-            acc = -acc
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                acc = acc + rhs if val == "+" else acc - rhs
-            else:
-                return acc
-
-    def term(self):
-        acc = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                acc = acc * self.factor()
-            else:
-                return acc
-
-    def factor(self):
-        base = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind, val, pos = self.next()
-            if kind != "int":
-                raise ParseError("exponent must be a nonnegative integer", self.text, pos)
-            return base**val
-        return base
-
-    def atom(self):
-        kind, val, pos = self.next()
-        if kind == "int":
-            # Coefficient literals are base-p digit codes; for prime q this
-            # coincides with the image of the integer under Z -> GF(q).
-            code = val % self.domain.coeff_field.q
-            return DomainElement(self.domain, (code,) if code else ())
-        if kind == "name":
-            if val == "t" and self.domain.kind == "GFqt":
-                return t_element(self.domain)
-            raise ParseError(f"unknown symbol {val!r} in element", self.text, pos)
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            kind, val, pos = self.next()
-            if not (kind == "op" and val == ")"):
-                raise ParseError("expected ')'", self.text, pos)
-            return inner
-        if kind == "op" and val == "-":
-            return -self.atom()
-        raise ParseError("expected an element", self.text, pos)
-
 
 def parse_element(domain, text):
+    """int() over Z; over GF(q)[t] a variable-free polynomial expression in t."""
     if domain.kind == "Z":
         try:
             return DomainElement(domain, int(text.strip()))
         except ValueError:
             raise ParseError(f"bad integer {text!r}", text, 0) from None
-    parser = _ElementParser(domain, text)
-    result = parser.expr()
-    kind, _, pos = parser.peek()
-    if kind != "end":
-        raise ParseError("trailing input", text, pos)
-    return result
+    from .polys import parse_poly
+
+    poly, _ = parse_poly(domain, text, var_order=[])
+    return poly.terms.get((), zero(domain))
 
 
 def parse_fraction(domain, text):
@@ -826,7 +638,3 @@ def format_element(x):
         else:
             parts.append(f"t^{d}" if c == 1 else f"{c}*t^{d}")
     return "+".join(parts)
-
-
-def format_fraction(x):
-    return str(x)

@@ -18,11 +18,11 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import rings
+from . import __version__, rings
 from .polys import eval_ring, is_homogeneous, is_translation_invariant
 from .rings import DomainTag, enumeration_scheme_id, from_int, nonzero_prefix
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 
 @dataclass(frozen=True)
@@ -32,15 +32,16 @@ class Window:
     provenance: str
 
     def __post_init__(self):
-        seen = set()
-        for x in self.elements:
+        positions = {}
+        for i, x in enumerate(self.elements):
             if x.domain != self.domain:
                 raise ValueError("window element domain mismatch")
             if x.is_zero():
                 raise ValueError("0 is never a window element")
-            if x in seen:
+            if x in positions:
                 raise ValueError("duplicate window element")
-            seen.add(x)
+            positions[x] = i
+        object.__setattr__(self, "_positions", positions)
 
     def __len__(self):
         return len(self.elements)
@@ -63,7 +64,8 @@ class Window:
         return cls(domain, tuple(elements), "explicit-list")
 
     def index_of(self):
-        return {x: i for i, x in enumerate(self.elements)}
+        """Element -> window position, built once with the window."""
+        return self._positions
 
 
 @dataclass

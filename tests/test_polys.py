@@ -85,7 +85,7 @@ def test_parse_t_is_a_constant_over_gf():
 
 def test_string_roundtrip():
     rng = random.Random(2)
-    for domain in (INTEGERS, GF3):
+    for domain in (INTEGERS, GF3, GF4):
         for _ in range(100):
             p = random_poly(domain, 3, rng)
             assert pp(domain, poly_to_string(p), var_order=["x1", "x2", "x3"]) == p

@@ -121,15 +121,39 @@ def test_arith_z_reference():
         assert arith(INTEGERS, "mul", zint(x), zint(y)).value == x * y
 
 
-def test_gf4_field_structure():
-    # every nonzero element of the coefficient field is invertible
-    F = GF4.coeff_field
-    for a in range(1, 4):
-        assert F.mul(a, F.inv(a)) == 1
-    # x * (x + 1) in GF(4)[t] stays degree-correct
-    a = DomainElement(GF4, (2,))  # the generator
-    b = DomainElement(GF4, (3,))  # generator + 1
-    assert (a * b).degree() == 0  # nonzero product of units
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_extension_field_structure(q):
+    # GF(p^e) codes are base-p digit vectors of residues modulo the modulus;
+    # sympy's galoistools works on dense lists, high degree first
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem
+
+    F = gf_poly_domain(q).coeff_field
+    p = F.p
+
+    def dense(code):
+        return list(reversed(enum_element(gf_poly_domain(p), code).value))
+
+    def code(poly):
+        value = 0
+        for c in poly:
+            value = value * p + int(c)
+        return value
+
+    modulus = list(reversed(F.modulus))
+    assert modulus[0] == 1 and p ** (len(modulus) - 1) == q
+    assert gf_irreducible_p(modulus, p, ZZ)
+    # lex-least: every monic polynomial of the same degree before it is reducible
+    assert not any(gf_irreducible_p(dense(index), p, ZZ) for index in range(q, code(modulus)))
+    for a in range(q):
+        for b in range(q):
+            assert F.add(a, b) == code(gf_add(dense(a), dense(b), p, ZZ))
+            assert F.mul(a, b) == code(gf_rem(gf_mul(dense(a), dense(b), p, ZZ), modulus, p, ZZ))
+        if a:
+            assert gf_rem(gf_mul(dense(a), dense(F.inv(a)), p, ZZ), modulus, p, ZZ) == [1]
+            # a nonzero constant times its inverse is one in GF(q)[t]
+            x = DomainElement(gf_poly_domain(q), (a,))
+            assert x * DomainElement(x.domain, (F.inv(a),)) == one(x.domain)
 
 
 # ---------------------------------------------------------------------------
