@@ -169,7 +169,8 @@ def verify_certificate(doc):
     """Re-check a certificate payload; returns (ok, message)."""
     if doc.get("schema") != SCHEMA_VERSION:
         raise VerificationError(f"unsupported schema {doc.get('schema')!r}")
-    kind = doc.get("kind")
+    _require(doc, "kind", "domain")
+    kind = doc["kind"]
     domain = rings.parse_domain(doc["domain"])
     try:
         if kind == "ColumnsWitness":

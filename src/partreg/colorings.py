@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import windows
-from .rings import DomainElement, ParseError, is_irreducible, ord_at, parse_element
+from .rings import DomainElement, ParseError, _multiplicity, is_irreducible, parse_element
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def color_of(spec, x):
     if x.is_zero():
         raise ValueError("colorings partition the nonzero elements only")
     if spec.family == "OrdMod":
-        return ord_at(x, spec.irreducible).value % spec.modulus
+        return _multiplicity(x, spec.irreducible).value % spec.modulus  # checked by the spec
     if x.domain.kind != "Z":
         raise ValueError("DigitBaseP colors integers only")
     n = abs(x.value)

@@ -153,14 +153,15 @@ class MultiPoly:
     def substitute_first(self, value):
         """Plug a ring element into variable 0, dropping one variable."""
         terms = {}
-        power_cache = {0: one(self.domain)}
-        for exps, coeff in self.terms.items():
+        power_cache = {}
+        for exps, c in self.terms.items():
             e0 = exps[0]
-            if e0 not in power_cache:
-                power_cache[e0] = value**e0
-            c = coeff * power_cache[e0]
-            if c.is_zero():
-                continue
+            if e0:
+                if e0 not in power_cache:
+                    power_cache[e0] = value**e0
+                c = c * power_cache[e0]
+                if c.is_zero():
+                    continue
             rest = exps[1:]
             acc = terms.get(rest)
             terms[rest] = c if acc is None else acc + c

@@ -174,18 +174,21 @@ class _ExtensionField:
         self.sub = memo(lambda a, b: enum_index(residue(a) - residue(b)))
         self.mul = memo(lambda a, b: enum_index((residue(a) * residue(b)).divmod(modulus)[1]))
         self.inv = memo(self._inv)
+        self._base = base
 
     def _inv(self, a):
-        # a^(q-2) by square and multiply
+        # extended Euclid in GF(p)[u]: s * a = r (mod modulus) holds for both rows
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(q)")
-        result, n = 1, self.q - 2
-        while n:
-            if n & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return result
+        F = self._base.coeff_field
+        r0, r1 = list(self.modulus), list(enum_element(self._base, a).value)
+        s0, s1 = [], [1]
+        while r1:
+            quo, rem = _poly_divmod(F, r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, _poly_add(F, s0, _poly_neg(F, _poly_mul(F, quo, s1)))
+        # the modulus is irreducible, so the last nonzero remainder is a constant
+        return enum_index(DomainElement(self._base, tuple(s0)).scale(F.inv(r0[0])))
 
     def from_int(self, n):
         return n % self.p
@@ -325,14 +328,15 @@ class DomainElement:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power in a ring")
-        result = one(self.domain)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return one(self.domain) if result is None else result
 
     def divmod(self, other):
         self._check(other)
@@ -583,6 +587,11 @@ def ord_at(x, prime):
     """Multiplicity of `prime` in x; ord(0) is 0 with the degenerate flag set."""
     if not is_irreducible(prime):
         raise ValueError(f"{prime} is not irreducible")
+    return _multiplicity(x, prime)
+
+
+def _multiplicity(x, prime):
+    """ord_at for a prime already known to be irreducible."""
     if x.is_zero():
         return OrdResult(0, True)
     n = 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__, rings
-from .polys import eval_ring, is_homogeneous, is_translation_invariant
+from .polys import MultiPoly, eval_ring, is_homogeneous, is_translation_invariant
 from .rings import DomainTag, enumeration_scheme_id, from_int, nonzero_prefix
 
 TOOL_VERSION = __version__
@@ -114,15 +114,58 @@ class SemidecideResult:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_roots(p, window, injective=False):
-    """Every tuple in window^nvars where p vanishes, as a hypergraph.
+def _split_last_variable(p):
+    """(f, h) with p = f(x1..x(n-1)) + h(xn), or None when p does not separate.
 
-    Partial substitution prunes branches whose remaining polynomial is a
-    nonzero constant and solves the final variable directly when it appears
-    linearly; the result matches the naive full product scan exactly.
+    p separates when xn occurs and no term mixes it with another variable;
+    the constant term goes to f.
     """
-    if p.domain != window.domain:
-        raise ValueError("polynomial and window domains differ")
+    f_terms, h_terms = {}, {}
+    for exps, coeff in p.terms.items():
+        if not exps[-1]:
+            f_terms[exps[:-1]] = coeff
+        elif any(exps[:-1]):
+            return None
+        else:
+            h_terms[exps[-1:]] = coeff
+    if not h_terms:
+        return None
+    return MultiPoly(p.domain, p.nvars - 1, f_terms), MultiPoly(p.domain, 1, h_terms)
+
+
+def _separable_roots(f, h, window, injective):
+    """Roots of f(x1..x(n-1)) + h(xn): one value -> positions table of h.
+
+    Each full prefix of f's variables leaves a constant c, and the roots
+    through it are the positions where h takes -c.  f's own constants say
+    nothing before h is added, so the descent never prunes.
+    """
+    elems = window.elements
+    table = {}
+    for i, x in enumerate(elems):
+        table.setdefault(eval_ring(h, (x,)).value, []).append(i)
+    zero_key = rings.zero(f.domain).value
+    last = f.nvars
+    found = []
+
+    def descend(q, prefix):
+        if len(prefix) == last:
+            c = q.terms.get(())
+            for i in table.get(zero_key if c is None else (-c).value, ()):
+                if not (injective and i in prefix):
+                    found.append(tuple(prefix + [i]))
+            return
+        for i in range(len(elems)):
+            if injective and i in prefix:
+                continue
+            descend(q.substitute_first(elems[i]), prefix + [i])
+
+    descend(f, [])
+    return found
+
+
+def _descended_roots(p, window, injective):
+    """Roots by partial substitution, pruning dead branches on the way."""
     n = p.nvars
     elems = window.elements
     index_of = window.index_of()
@@ -181,9 +224,32 @@ def enumerate_roots(p, window, injective=False):
                 continue
             descend(q.substitute_first(elems[i]), prefix + [i])
 
-    if n == 0:
-        raise ValueError("cannot enumerate roots of a constant")
     descend(p, [])
+    return found
+
+
+def enumerate_roots(p, window, injective=False):
+    """Every tuple in window^nvars where p vanishes, as a hypergraph.
+
+    Three paths, all matching the naive full product scan exactly:
+
+    * separable hash: when p = f(x1..x(n-1)) + h(xn), h is evaluated once
+      per window element into a value -> positions table, and each prefix
+      of f's variables resolves by one lookup;
+    * linear closed form: otherwise partial substitution prunes branches
+      whose remaining polynomial is a nonzero constant, and solves the last
+      variable directly when it appears linearly;
+    * scan: a last variable of higher degree is evaluated over the window.
+    """
+    if p.domain != window.domain:
+        raise ValueError("polynomial and window domains differ")
+    if p.nvars == 0:
+        raise ValueError("cannot enumerate roots of a constant")
+    split = _split_last_variable(p)
+    if split is None:
+        found = _descended_roots(p, window, injective)
+    else:
+        found = _separable_roots(*split, window, injective)
     found.sort()
     edges = sorted({tuple(sorted(set(tup))) for tup in found})
     return RootHypergraph(window, found, edges, injective)

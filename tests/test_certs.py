@@ -191,8 +191,9 @@ def test_mutated_certificates_are_rejected():
     assert rejected == attempted
 
 
-def test_missing_fields_rejected():
+@pytest.mark.parametrize("field", ["window", "domain", "kind"])
+def test_missing_fields_rejected(field):
     doc = sample_documents()[1]
-    broken = {k: v for k, v in doc.items() if k != "window"}
+    broken = {k: v for k, v in doc.items() if k != field}
     with pytest.raises(VerificationError):
         verify_certificate(broken)

@@ -190,6 +190,14 @@ def test_verify_rejects_tampering(capsys, tmp_path):
     assert out.startswith("INVALID")
 
 
+def test_verify_schema_only_is_exit_1(capsys, tmp_path):
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps({"schema": 1}))
+    code, _, err = run(capsys, "verify", str(cert_file))
+    assert code == EXIT_ERROR
+    assert "error:" in err
+
+
 def test_bad_input_is_exit_1(capsys):
     code, _, err = run(capsys, "window", "--poly", "x +", "--colors", "2", "--window", "1..4")
     assert code == EXIT_ERROR

@@ -121,7 +121,7 @@ def test_arith_z_reference():
         assert arith(INTEGERS, "mul", zint(x), zint(y)).value == x * y
 
 
-@pytest.mark.parametrize("q", [4, 8, 9])
+@pytest.mark.parametrize("q", [4, 8, 9, 16])
 def test_extension_field_structure(q):
     # GF(p^e) codes are base-p digit vectors of residues modulo the modulus;
     # sympy's galoistools works on dense lists, high degree first
@@ -154,6 +154,16 @@ def test_extension_field_structure(q):
             # a nonzero constant times its inverse is one in GF(q)[t]
             x = DomainElement(gf_poly_domain(q), (a,))
             assert x * DomainElement(x.domain, (F.inv(a),)) == one(x.domain)
+
+
+def test_large_extension_field_inverse():
+    F = gf_poly_domain(2**16).coeff_field
+    rng = random.Random(13)
+    for _ in range(200):
+        a = rng.randrange(1, 2**16)
+        assert F.mul(a, F.inv(a)) == 1
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from partreg.rings import (
 )
 from partreg.windows import (
     Window,
+    _split_last_variable,
     check_window_l_pr,
     density_window_check,
     disjoint_solutions,
@@ -25,6 +26,7 @@ from partreg.windows import (
 
 GF2 = gf_poly_domain(2)
 GF3 = gf_poly_domain(3)
+GF4 = gf_poly_domain(4)
 
 
 def pp(domain, text, var_order=None):
@@ -49,6 +51,22 @@ def random_poly(domain, nvars, rng, max_terms=3, max_deg=2, coeff_pool=8):
             terms[exps] = coeff
     if not terms:
         terms[(1,) + (0,) * (nvars - 1)] = enum_element(domain, 1)
+    return MultiPoly(domain, nvars, terms)
+
+
+def separable_poly(domain, nvars, rng):
+    """A random f(x1..x(n-1)), cross terms and a constant included, plus h(xn).
+
+    h is one or two terms c*xn^d with d in 1..3; with two, h can vanish on
+    the window.
+    """
+    terms = {}
+    if nvars > 1:
+        f = random_poly(domain, nvars - 1, rng, max_terms=4)
+        terms = {exps + (0,): coeff for exps, coeff in f.terms.items()}
+    terms[(0,) * nvars] = enum_element(domain, rng.randrange(8))
+    for _ in range(rng.randrange(1, 3)):
+        terms[(0,) * (nvars - 1) + (rng.randrange(1, 4),)] = enum_element(domain, rng.randrange(1, 8))
     return MultiPoly(domain, nvars, terms)
 
 
@@ -102,18 +120,52 @@ def test_injective_filters_diagonal_roots():
         assert len(set(t)) == 3
 
 
-@pytest.mark.parametrize("domain", [INTEGERS, GF2, GF3])
-@pytest.mark.parametrize("injective", [False, True])
-def test_enumeration_matches_naive_oracle(domain, injective):
-    rng = random.Random(51)
+def check_against_naive_oracle(domain, injective, draw, seed):
+    rng = random.Random(seed)
     for _ in range(60):
         nvars = rng.randrange(1, 4)
-        p = random_poly(domain, nvars, rng)
+        p = draw(domain, nvars, rng)
         window = Window.enumeration_prefix(domain, rng.randrange(2, 7))
         fast = enumerate_roots(p, window, injective)
         slow = enumerate_roots_naive(p, window, injective)
         assert fast.tuples == slow.tuples
         assert fast.edges == slow.edges
+
+
+@pytest.mark.parametrize("domain", [INTEGERS, GF2, GF3])
+@pytest.mark.parametrize("injective", [False, True])
+def test_enumeration_matches_naive_oracle(domain, injective):
+    check_against_naive_oracle(domain, injective, random_poly, 51)
+
+
+@pytest.mark.parametrize("domain", [INTEGERS, GF2, GF3, GF4])
+@pytest.mark.parametrize("injective", [False, True])
+def test_separable_enumeration_matches_naive_oracle(domain, injective):
+    check_against_naive_oracle(domain, injective, separable_poly, 53)
+
+
+def test_separable_split():
+    assert _split_last_variable(pp(INTEGERS, "x^2 + y^2 - z^2 + x*y + 3", ["x", "y", "z"]))
+    assert _split_last_variable(SCHUR)
+    assert _split_last_variable(pp(INTEGERS, "x*z - y", ["x", "y", "z"])) is None
+    assert _split_last_variable(pp(INTEGERS, "x + y", ["x", "y", "z"])) is None
+
+
+def test_pythagorean_large_window_matches_plain_int_oracle():
+    n = 200
+    p = pp(INTEGERS, "x^2 + y^2 - z^2", var_order=["x", "y", "z"])
+    h = enumerate_roots(p, Window.interval(INTEGERS, 1, n))
+    root_of = {v * v: v for v in range(1, n + 1)}
+    # value v sits at window position v - 1
+    tuples = [
+        (x - 1, y - 1, root_of[x * x + y * y] - 1)
+        for x in range(1, n + 1)
+        for y in range(1, n + 1)
+        if x * x + y * y in root_of
+    ]
+    assert len(tuples) == 254
+    assert h.tuples == tuples
+    assert h.edges == sorted({tuple(sorted(set(t))) for t in tuples})
 
 
 def test_enumerate_roots_rejects_constants():
