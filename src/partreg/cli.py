@@ -9,6 +9,7 @@ refutation scan), 1 means a usage or input error, or a failed verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -289,7 +290,9 @@ def _cmd_verify(args):
     return EXIT_DEFINITIVE if ok else EXIT_ERROR
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="partreg",
         description="certify, semi-decide and refute partition/density regularity "

@@ -270,15 +270,23 @@ def enumerate_roots_naive(p, window, injective=False):
 
 
 def _minimal_edges(edges):
-    """Drop edges containing another edge; verdicts are unchanged."""
+    """Drop edges containing another edge, and repeats; order is kept.
+
+    The edges containing an edge are the common members of its elements'
+    incidence sets, so only edges sharing an element are compared.  Edges
+    are non-empty.
+    """
     sets = [frozenset(e) for e in edges]
-    keep = []
-    for i, e in enumerate(sets):
-        if not any(i != j and other < e for j, other in enumerate(sets)) and not any(
-            other == e for other in sets[:i]
-        ):
-            keep.append(edges[i])
-    return keep
+    incident = {}
+    for j, s in enumerate(sets):
+        for x in s:
+            incident.setdefault(x, set()).add(j)
+    dropped = set()
+    for i, s in enumerate(sets):
+        for j in set.intersection(*(incident[x] for x in s)):
+            if j > i or len(sets[j]) > len(s):  # a later repeat or a strict superset
+                dropped.add(j)
+    return [e for j, e in enumerate(edges) if j not in dropped]
 
 
 # ---------------------------------------------------------------------------
@@ -289,37 +297,68 @@ def _minimal_edges(edges):
 def _least_valid_coloring(size, edges, colors):
     """Lexicographically least coloring with no monochromatic edge, or None.
 
-    Backtracking over positions in window order; a fresh color is only tried
-    as the single next unused color, which is sound for lexicographic
-    minimality (relabeling any valid coloring canonically never increases
-    it).
+    Edges are sorted tuples of distinct positions.  Depth-first over
+    positions in window order, iteratively (per-position arrays replace the
+    call stack); a fresh color is only tried as the single next unused
+    color, which is sound for lexicographic minimality (relabeling any valid
+    coloring canonically never increases it).
+
+    Forward checking: positions are colored in order, so an edge has one
+    uncolored member, its last, right after its second-to-last member is
+    colored.  If the other members then share a color c, c leaves the last
+    member's mask of allowed colors, and an empty mask closes the branch.
+    This only cuts branches without a valid completion, so the first valid
+    leaf, and the result, are those of plain backtracking.
     """
     if any(len(e) == 1 for e in edges):
         return None
-    # edges become checkable once their max position is colored
-    by_last = [[] for _ in range(size)]
+    if size == 0:
+        return ()
+    closing = [[] for _ in range(size)]  # (mask of the other members, last member)
     for e in edges:
-        by_last[e[-1]].append(e)
+        closing[e[-2]].append((sum(1 << i for i in e[:-2]), e[-1]))
+    allowed = [(1 << colors) - 1] * size
+    trail = []  # (position, its mask before a removal)
     assignment = [0] * size
-
-    def backtrack(pos, used):
-        if pos == size:
-            return True
-        limit = min(colors, used + 1)
-        for c in range(limit):
-            assignment[pos] = c
-            ok = True
-            for e in by_last[pos]:
-                if all(assignment[i] == c for i in e[:-1]):
-                    ok = False
-                    break
-            if ok and backtrack(pos + 1, max(used, c + 1)):
-                return True
-        return False
-
-    if backtrack(0, 0):
-        return tuple(assignment)
-    return None
+    # classes[c] has bit i when assignment[i] == c; bits at or past the
+    # current position may be stale, and closing masks never read them
+    classes = [0] * colors
+    used = [0] * size  # colors used before each position
+    next_color = [0] * size
+    mark = [0] * size  # trail length when the position was entered
+    pos = 0
+    while True:
+        while len(trail) > mark[pos]:
+            i, mask = trail.pop()
+            allowed[i] = mask
+        c = next_color[pos]
+        limit = min(colors, used[pos] + 1)
+        while c < limit and not allowed[pos] >> c & 1:
+            c += 1
+        if c == limit:
+            if pos == 0:
+                return None
+            pos -= 1
+            continue
+        next_color[pos] = c + 1
+        here = 1 << pos
+        classes[assignment[pos]] &= ~here
+        assignment[pos] = c
+        same = classes[c] = classes[c] | here
+        bit = 1 << c
+        for rest, last in closing[pos]:
+            if rest & same == rest and allowed[last] & bit:
+                trail.append((last, allowed[last]))
+                allowed[last] ^= bit
+                if not allowed[last]:
+                    break  # wiped out: try the next color
+        else:
+            if pos + 1 == size:
+                return tuple(assignment)
+            pos += 1
+            used[pos] = max(used[pos - 1], c + 1)
+            next_color[pos] = 0
+            mark[pos] = len(trail)
 
 
 def check_window_l_pr(p, window, colors, injective=False):
@@ -386,26 +425,40 @@ def semidecide_l_pr(p, colors, injective=False, budget=20):
 def max_avoiding_subset(size, edges):
     """Exact maximum subset of range(size) containing no edge.
 
-    Branch and bound: branch on the elements of a not-yet-broken edge,
-    deterministic order, so the result is canonical.
+    Edges are tuples of distinct positions.  Branch and bound with an
+    explicit stack: branch on the elements of the
+    first unbroken edge in sorted minimal-edge order, so the result is
+    canonical.  Sets are int bitmasks.  A child's allowed set lies inside its
+    parent's, so its scan for an unbroken edge resumes past the edge just
+    branched on.  Pairwise disjoint unbroken edges each cost a distinct
+    element, so |allowed| minus a greedy disjoint packing bounds every
+    completion; best is only replaced by a strictly larger set, which keeps
+    the first maximum in branching order.
     """
-    edges = [tuple(e) for e in _minimal_edges(sorted(edges))]
-    best = []
-
-    def bound_and_branch(allowed):
-        nonlocal best
-        if len(allowed) <= len(best):
-            return
-        target = next((e for e in edges if all(i in allowed for i in e)), None)
+    edges = _minimal_edges(sorted(edges))
+    masks = [sum(1 << i for i in e) for e in edges]
+    best, best_size = 0, 0
+    stack = [((1 << size) - 1, 0)]  # (allowed, index of the first edge that may be unbroken)
+    while stack:
+        allowed, start = stack.pop()
+        room = allowed.bit_count() - best_size
+        if room <= 0:
+            continue
+        target, packed, packing = None, 0, 0
+        for k in range(start, len(masks)):
+            m = masks[k]
+            if m & allowed == m and not m & packed:
+                if target is None:
+                    target = k
+                packed |= m
+                packing += 1
+                if packing >= room:
+                    break
         if target is None:
-            if len(allowed) > len(best):
-                best = sorted(allowed)
-            return
-        for v in target:
-            bound_and_branch(allowed - {v})
-
-    bound_and_branch(frozenset(range(size)))
-    return tuple(best)
+            best, best_size = allowed, allowed.bit_count()
+        elif packing < room:
+            stack.extend((allowed & ~(1 << v), target + 1) for v in reversed(edges[target]))
+    return tuple(i for i in range(size) if best >> i & 1)
 
 
 def density_window_check(p, window, delta, mode="additive", injective=False):

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import partreg
 from partreg.cli import EXIT_DEFINITIVE, EXIT_ERROR, EXIT_INCONCLUSIVE, main
 
 
@@ -208,3 +212,28 @@ def test_bad_input_is_exit_1(capsys):
 
 def test_unknown_subcommand_is_exit_1(capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_ERROR
+
+
+def test_one_process_matches_separate_processes(capsys):
+    # main keeps its argument parser between calls; a usage error in between
+    # must not change what the later calls print or return
+    commands = [
+        ["window", "--poly", "x + y - z", "--colors", "2", "--window", "1..4"],
+        ["window", "--colors", "2"],
+        ["density", "--poly", "x + y - 2*z", "--window", "1..9", "--delta", "5/9", "--injective"],
+        ["window", "--poly", "x + y - z", "--colors", "2", "--window", "1..5"],
+    ]
+    src = os.path.dirname(os.path.dirname(partreg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    codes = []
+    for argv in commands:
+        alone = subprocess.run(
+            [sys.executable, "-m", "partreg.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert run(capsys, *argv) == (alone.returncode, alone.stdout, alone.stderr)
+        codes.append(alone.returncode)
+    assert codes == [EXIT_DEFINITIVE, EXIT_ERROR, EXIT_DEFINITIVE, EXIT_DEFINITIVE]

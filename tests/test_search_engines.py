@@ -1,0 +1,187 @@
+"""The pruning search engines against the plain searches they replaced.
+
+The oracles below are the earlier recursive backtracking colorer, the
+bound-by-|allowed| branch and bound and the all-pairs edge minimisation.  The
+engines must return exactly what they return, avoider tuples included.
+"""
+
+import random
+
+import pytest
+
+from partreg.cli import EXIT_DEFINITIVE, main
+from partreg.polys import parse_poly
+from partreg.rings import INTEGERS
+from partreg.windows import (
+    Window,
+    _least_valid_coloring,
+    _minimal_edges,
+    check_window_l_pr,
+    density_window_check,
+    max_avoiding_subset,
+)
+
+AP3 = parse_poly(INTEGERS, "x + y - 2*z", var_order=["x", "y", "z"])[0]
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+
+def minimal_edges_oracle(edges):
+    sets = [frozenset(e) for e in edges]
+    keep = []
+    for i, e in enumerate(sets):
+        if not any(i != j and other < e for j, other in enumerate(sets)) and not any(
+            other == e for other in sets[:i]
+        ):
+            keep.append(edges[i])
+    return keep
+
+
+def least_valid_coloring_oracle(size, edges, colors):
+    if any(len(e) == 1 for e in edges):
+        return None
+    by_last = [[] for _ in range(size)]
+    for e in edges:
+        by_last[e[-1]].append(e)
+    assignment = [0] * size
+
+    def backtrack(pos, used):
+        if pos == size:
+            return True
+        limit = min(colors, used + 1)
+        for c in range(limit):
+            assignment[pos] = c
+            ok = True
+            for e in by_last[pos]:
+                if all(assignment[i] == c for i in e[:-1]):
+                    ok = False
+                    break
+            if ok and backtrack(pos + 1, max(used, c + 1)):
+                return True
+        return False
+
+    if backtrack(0, 0):
+        return tuple(assignment)
+    return None
+
+
+def max_avoiding_subset_oracle(size, edges):
+    edges = [tuple(e) for e in minimal_edges_oracle(sorted(edges))]
+    best = []
+
+    def bound_and_branch(allowed):
+        nonlocal best
+        if len(allowed) <= len(best):
+            return
+        target = next((e for e in edges if all(i in allowed for i in e)), None)
+        if target is None:
+            if len(allowed) > len(best):
+                best = sorted(allowed)
+            return
+        for v in target:
+            bound_and_branch(allowed - {v})
+
+    bound_and_branch(frozenset(range(size)))
+    return tuple(best)
+
+
+def random_hypergraph(rng):
+    """Sorted distinct edges of sizes 1-4 on range(size), size 1-14."""
+    size = rng.randrange(1, 15)
+    edges = set()
+    for _ in range(rng.randrange(0, 3 * size)):
+        k = rng.randrange(1, min(4, size) + 1)
+        if k == 1 and rng.random() < 0.8:
+            continue  # singletons decide colorings at once; keep them rare
+        edges.add(tuple(sorted(rng.sample(range(size), k))))
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    return size, edges
+
+
+# ---------------------------------------------------------------------------
+# equivalence on seeded random hypergraphs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_minimal_edges_match_oracle(seed):
+    rng = random.Random(700 + seed)
+    for _ in range(150):
+        _, edges = random_hypergraph(rng)
+        edges += rng.sample(edges, min(len(edges), 3))  # repeats keep their first copy
+        assert _minimal_edges(edges) == minimal_edges_oracle(edges)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_coloring_matches_oracle(seed):
+    rng = random.Random(710 + seed)
+    for _ in range(150):
+        size, edges = random_hypergraph(rng)
+        colors = rng.randrange(1, 5)
+        minimal = sorted(minimal_edges_oracle(edges))
+        for hypergraph in (edges, minimal):
+            got = _least_valid_coloring(size, hypergraph, colors)
+            assert got == least_valid_coloring_oracle(size, hypergraph, colors)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_max_avoiding_subset_matches_oracle(seed):
+    rng = random.Random(720 + seed)
+    for _ in range(150):
+        size, edges = random_hypergraph(rng)
+        assert max_avoiding_subset(size, edges) == max_avoiding_subset_oracle(size, edges)
+
+
+# ---------------------------------------------------------------------------
+# literature anchors
+# ---------------------------------------------------------------------------
+
+
+def test_van_der_waerden_three_colors():
+    # W(3;3) = 27: 1..26 has a 3-coloring without a monochromatic 3-AP, 1..27 does not
+    colorable = check_window_l_pr(AP3, Window.interval(INTEGERS, 1, 26), 3, injective=True)
+    assert colorable.kind == "PartitionColorable"
+    coloring = colorable.coloring
+    for x in range(1, 27):
+        for d in range(1, (26 - x) // 2 + 1):
+            assert len({coloring[x - 1], coloring[x + d - 1], coloring[x + 2 * d - 1]}) > 1
+    certified = check_window_l_pr(AP3, Window.interval(INTEGERS, 1, 27), 3, injective=True)
+    assert certified.kind == "PartitionCertified"
+
+
+def test_three_ap_free_density_r3_20():
+    # r3(20) = 9, OEIS A003002: the largest 3-AP-free subset of 1..20
+    window = Window.interval(INTEGERS, 1, 20)
+    cert = density_window_check(AP3, window, "1/2", injective=True)
+    assert cert.kind == "DensityCertified"
+    assert cert.max_avoider_size == 9
+
+
+# ---------------------------------------------------------------------------
+# depth safety
+# ---------------------------------------------------------------------------
+
+
+def test_long_chain_window_is_colorable(capsys):
+    code = main(
+        ["window", "--poly", "x-2*y", "--colors", "2", "--window", "1..1500", "--print-cert"]
+    )
+    out = capsys.readouterr().out
+    assert code == EXIT_DEFINITIVE
+    assert "verdict: PartitionColorable" in out
+    coloring = [int(c) for c in out.split("[", 1)[1].split("]", 1)[0].split(",")]
+    assert len(coloring) == 1500
+    assert set(coloring) <= {0, 1}
+    # value v sits at position v - 1; the roots of x - 2y are (2y, y)
+    assert all(coloring[2 * y - 1] != coloring[y - 1] for y in range(1, 751))
+
+
+def test_many_disjoint_edges_do_not_recurse():
+    edges = [(2 * i, 2 * i + 1) for i in range(1000)]
+    avoider = max_avoiding_subset(2000, edges)
+    assert len(avoider) == 1000
+    assert all(not set(e) <= set(avoider) for e in edges)
