@@ -2,9 +2,10 @@
 
 Certificates are plain JSON for diffability.  verify_certificate re-checks
 the payload (witness equations, monochromatic-edge scans, avoider edge
-checks) without repeating the original search; verdicts that carry no
-finite payload (a completed exhaustive search, a clean scan) only get a
-structural check, which is the best a non-searching verifier can do.
+checks) without repeating the original search.  Verdicts that carry no
+finite payload (no columns-condition witness, a certified or dense window,
+a clean scan) are re-decided: the verifier runs the finite decision again
+and compares its answer with the claim.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 from fractions import Fraction
 
 from . import __version__, colorings, polys, rado, rings, windows
-from .rings import ParseError
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = __version__
@@ -165,138 +165,151 @@ def _require(doc, *keys):
             raise VerificationError(f"certificate missing field {key!r}")
 
 
+# the fields each kind needs; poly and window are decoded before the check
+_FIELDS = {
+    "ColumnsWitness": ("matrix", "payload"),
+    "NoColumnsWitness": ("matrix",),
+    "PartitionColorable": ("poly", "window", "colors", "payload"),
+    "Exhausted": ("poly", "window", "colors", "payload"),
+    "PartitionCertified": ("poly", "window", "colors"),
+    "DensityAvoider": ("poly", "window", "delta", "mode", "payload"),
+    "DensityCertified": ("poly", "window", "delta", "mode", "payload"),
+    "MonochromaticRoot": ("poly", "window", "coloring_spec", "payload"),
+    "Clean": ("poly", "window", "coloring_spec"),
+    "DisjointSolutions": ("poly", "window", "payload"),
+    "Roots": ("poly", "window", "payload"),
+    "Reduction": ("poly", "payload"),
+}
+
+
 def verify_certificate(doc):
-    """Re-check a certificate payload; returns (ok, message)."""
+    """Re-check a certificate payload; returns (ok, message).
+
+    A missing field or an unknown schema or kind raises VerificationError; a
+    malformed value gives (False, message).
+    """
+    if not isinstance(doc, dict):
+        raise VerificationError("certificate is not a JSON object")
     if doc.get("schema") != SCHEMA_VERSION:
         raise VerificationError(f"unsupported schema {doc.get('schema')!r}")
     _require(doc, "kind", "domain")
     kind = doc["kind"]
-    domain = rings.parse_domain(doc["domain"])
+    if not isinstance(kind, str) or kind not in _FIELDS:
+        raise VerificationError(f"unknown certificate kind {kind!r}")
+    _require(doc, *_FIELDS[kind])
     try:
-        if kind == "ColumnsWitness":
-            _require(doc, "matrix", "payload")
-            system = matrix_from_json(domain, doc["matrix"])
-            witness = witness_from_json(domain, doc["payload"])
-            ok = rado.verify_witness(system, witness)
-            return ok, "witness equations hold" if ok else "witness equations fail"
-        if kind == "NoColumnsWitness":
-            _require(doc, "matrix")
-            matrix_from_json(domain, doc["matrix"])
-            return True, "structural check only (absence has no finite payload)"
-        if kind == "PartitionColorable":
-            _require(doc, "poly", "window", "colors", "payload")
-            p = polys.poly_from_records(domain, doc["poly"])
-            window = window_from_json(domain, doc["window"])
-            coloring = doc["payload"]["coloring"]
-            if len(coloring) != len(window):
-                return False, "coloring length mismatch"
-            if any(not 0 <= c < doc["colors"] for c in coloring):
-                return False, "color out of range"
-            hypergraph = windows.enumerate_roots(p, window, doc.get("injective", False))
-            for edge in hypergraph.edges:
-                if len({coloring[i] for i in edge}) == 1:
-                    return False, f"monochromatic edge {list(edge)}"
-            return True, "no monochromatic edge"
-        if kind == "PartitionCertified":
-            _require(doc, "poly", "window", "colors")
-            p = polys.poly_from_records(domain, doc["poly"])
-            window = window_from_json(domain, doc["window"])
-            constant_root = doc["payload"].get("constant_root")
-            if constant_root is not None:
-                value = window.elements[constant_root]
-                point = tuple(value for _ in range(p.nvars))
-                if not polys.eval_ring(p, point).is_zero():
-                    return False, "claimed constant root does not vanish"
-                return True, "constant root verified"
-            return True, "structural check only (certification has no finite payload)"
+        return _check(doc, kind, rings.parse_domain(doc["domain"]))
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        return False, f"malformed certificate: {exc}"
+
+
+def _check(doc, kind, domain):
+    if "poly" in _FIELDS[kind]:
+        p = polys.poly_from_records(domain, doc["poly"])
+    if "window" in _FIELDS[kind]:
+        window = window_from_json(domain, doc["window"])
+    injective = doc.get("injective", False)
+    if kind == "ColumnsWitness":
+        system = matrix_from_json(domain, doc["matrix"])
+        witness = witness_from_json(domain, doc["payload"])
+        ok = rado.verify_witness(system, witness)
+        return ok, "witness equations hold" if ok else "witness equations fail"
+    if kind == "NoColumnsWitness":
+        system = matrix_from_json(domain, doc["matrix"])
+        if rado.columns_condition(system, force=True) is not None:
+            return False, "a columns-condition witness exists"
+        return True, "no columns-condition witness (decision re-run)"
+    if kind in ("PartitionColorable", "Exhausted"):
+        coloring = doc["payload"]["coloring"]
+        if len(coloring) != len(window):
+            return False, "coloring length mismatch"
+        if any(not 0 <= c < doc["colors"] for c in coloring):
+            return False, "color out of range"
+        for edge in windows.enumerate_roots(p, window, injective).edges:
+            if len({coloring[i] for i in edge}) == 1:
+                return False, f"monochromatic edge {list(edge)}"
+        return True, "no monochromatic edge"
+    if kind == "PartitionCertified":
+        constant_root = doc["payload"].get("constant_root")
+        if constant_root is not None:
+            value = window.elements[constant_root]
+            point = tuple(value for _ in range(p.nvars))
+            if not polys.eval_ring(p, point).is_zero():
+                return False, "claimed constant root does not vanish"
+            if injective and p.nvars > 1:
+                return False, "a constant root is not injective"
+            return True, "constant root verified"
+        if windows.check_window_l_pr(p, window, doc["colors"], injective).coloring is not None:
+            return False, "the window has a coloring with no monochromatic edge"
+        return True, "no coloring avoids a monochromatic edge (window search re-run)"
+    if kind in ("DensityAvoider", "DensityCertified"):
+        delta = Fraction(doc["delta"])
+        payload = doc["payload"]
+        edges = windows.enumerate_roots(p, window, injective).edges
         if kind == "DensityAvoider":
-            _require(doc, "poly", "window", "delta", "payload")
-            p = polys.poly_from_records(domain, doc["poly"])
-            window = window_from_json(domain, doc["window"])
-            avoider = doc["payload"]["avoider"]
-            delta = Fraction(doc["delta"])
-            if len(set(avoider)) != len(avoider) or any(
-                not 0 <= i < len(window) for i in avoider
-            ):
+            avoider = payload["avoider"]
+            chosen = set(avoider)
+            if len(chosen) != len(avoider) or not chosen <= set(range(len(window))):
                 return False, "avoider is not a subset of the window"
             if len(avoider) < delta * len(window):
                 return False, "avoider smaller than the density threshold"
-            hypergraph = windows.enumerate_roots(p, window, doc.get("injective", False))
-            chosen = set(avoider)
-            for edge in hypergraph.edges:
+            for edge in edges:
                 if set(edge) <= chosen:
                     return False, f"avoider contains edge {list(edge)}"
-            return True, "avoider contains no edge"
-        if kind == "DensityCertified":
-            _require(doc, "poly", "window", "delta")
-            polys.poly_from_records(domain, doc["poly"])
-            window_from_json(domain, doc["window"])
-            return True, "structural check only (certification has no finite payload)"
-        if kind == "MonochromaticRoot":
-            _require(doc, "poly", "window", "coloring_spec", "payload")
-            p = polys.poly_from_records(domain, doc["poly"])
-            window = window_from_json(domain, doc["window"])
-            spec = colorings.parse_coloring_spec(domain, doc["coloring_spec"])
-            indices = doc["payload"]["tuple"]
+            message = "avoider contains no edge"
+        else:
+            size = len(windows.max_avoiding_subset(len(window), edges))
+            if size >= delta * len(window):
+                return False, f"an avoider of size {size} meets the density threshold"
+            if size != payload["max_avoider_size"]:
+                return False, f"the maximum avoider has size {size}, not the claimed one"
+            message = "every avoider is below the density threshold (branch and bound re-run)"
+        if payload.get("transferable") != windows.transfers(p, doc["mode"]):
+            return False, "transferable flag does not re-verify"
+        return True, message
+    if kind == "MonochromaticRoot":
+        spec = colorings.parse_coloring_spec(domain, doc["coloring_spec"])
+        values = tuple(window.elements[i] for i in doc["payload"]["tuple"])
+        if not polys.eval_ring(p, values).is_zero():
+            return False, "claimed tuple is not a root"
+        palette = {colorings.color_of(spec, v) for v in values}
+        if len(palette) != 1:
+            return False, "claimed tuple is not monochromatic"
+        if injective and len(set(values)) != len(values):
+            return False, "claimed tuple is not injective"
+        return True, "monochromatic root verified"
+    if kind == "Clean":
+        spec = colorings.parse_coloring_spec(domain, doc["coloring_spec"])
+        hit = colorings.refutation_scan(p, spec, window, injective)
+        if hit is not None:
+            return False, "monochromatic root (" + ", ".join(str(v) for v in hit) + ")"
+        return True, "no monochromatic root under the coloring (scan re-run)"
+    if kind == "DisjointSolutions":
+        used = set()
+        for indices in doc["payload"]["tuples"]:
             values = tuple(window.elements[i] for i in indices)
             if not polys.eval_ring(p, values).is_zero():
                 return False, "claimed tuple is not a root"
-            palette = {colorings.color_of(spec, v) for v in values}
-            if len(palette) != 1:
-                return False, "claimed tuple is not monochromatic"
-            if doc.get("injective") and len(set(values)) != len(values):
-                return False, "claimed tuple is not injective"
-            return True, "monochromatic root verified"
-        if kind == "Clean":
-            _require(doc, "poly", "window", "coloring_spec")
-            polys.poly_from_records(domain, doc["poly"])
-            window_from_json(domain, doc["window"])
-            return True, "structural check only (a clean scan has no finite payload)"
-        if kind == "Exhausted":
-            _require(doc, "poly", "window", "colors", "payload")
-            inner = dict(doc)
-            inner["kind"] = "PartitionColorable"
-            return verify_certificate(inner)
-        if kind == "DisjointSolutions":
-            _require(doc, "poly", "window", "payload")
-            p = polys.poly_from_records(domain, doc["poly"])
-            window = window_from_json(domain, doc["window"])
-            tuples = doc["payload"]["tuples"]
-            used = set()
-            for indices in tuples:
-                values = tuple(window.elements[i] for i in indices)
-                if not polys.eval_ring(p, values).is_zero():
-                    return False, "claimed tuple is not a root"
-                value_set = set(values)
-                if value_set & used:
-                    return False, "tuples are not coordinate-disjoint"
-                used |= value_set
-            return True, "disjoint root tuples verified"
-        if kind == "Roots":
-            _require(doc, "poly", "window", "payload")
-            p = polys.poly_from_records(domain, doc["poly"])
-            window = window_from_json(domain, doc["window"])
-            for indices in doc["payload"]["tuples"]:
-                values = tuple(window.elements[i] for i in indices)
-                if not polys.eval_ring(p, values).is_zero():
-                    return False, "listed tuple is not a root"
-            return True, "all listed tuples are roots"
-        if kind == "Reduction":
-            _require(doc, "poly", "payload")
-            from . import reductions
+            value_set = set(values)
+            if value_set & used:
+                return False, "tuples are not coordinate-disjoint"
+            used |= value_set
+        return True, "disjoint root tuples verified"
+    if kind == "Roots":
+        for indices in doc["payload"]["tuples"]:
+            values = tuple(window.elements[i] for i in indices)
+            if not polys.eval_ring(p, values).is_zero():
+                return False, "listed tuple is not a root"
+        return True, "all listed tuples are roots"
+    from . import reductions  # kind == "Reduction"
 
-            p = polys.poly_from_records(domain, doc["poly"])
-            out = polys.poly_from_records(domain, doc["payload"]["output_poly"])
-            transform = doc["payload"]["transform"]
-            report = reductions.apply_transform(
-                p, transform, var_index=doc["payload"].get("var_index", 0)
-            )
-            if report.output != out:
-                return False, "transform output mismatch"
-            claimed = set(doc["payload"].get("verified", []))
-            if not claimed <= set(report.verified):
-                return False, "claimed properties do not re-verify"
-            return True, "transform re-applied and properties re-verified"
-    except (ParseError, KeyError, IndexError, TypeError) as exc:
-        return False, f"malformed certificate: {exc}"
-    raise VerificationError(f"unknown certificate kind {kind!r}")
+    out = polys.poly_from_records(domain, doc["payload"]["output_poly"])
+    report = reductions.apply_transform(
+        p, doc["payload"]["transform"], var_index=doc["payload"].get("var_index", 0)
+    )
+    if report.output != out:
+        return False, "transform output mismatch"
+    claimed = set(doc["payload"].get("verified", []))
+    if not claimed <= set(report.verified):
+        return False, "claimed properties do not re-verify"
+    return True, "transform re-applied and properties re-verified"

@@ -7,6 +7,11 @@ zero, every later cell-sum lying in the K-span of the columns of earlier
 cells.  The search is complete, so this module decides partition regularity
 for linear systems outright.
 
+Greedy is exact: if S is a valid cell after the used columns U and (D_1..D_k)
+is any valid continuation, the non-empty D_j minus S continue validly after
+U and S, since sum(D_j - S) = sum(D_j) - sum(D_j & S).  So the first valid
+cell never needs to be taken back.
+
 Column indices are 0-based throughout.
 """
 
@@ -23,7 +28,7 @@ from .rings import (
     zero,
 )
 
-DEFAULT_MAX_COLS = 9  # ordered set partitions grow like the ordered Bell numbers
+DEFAULT_MAX_COLS = 9  # a stage scans up to 2^n subsets of the remaining columns
 
 
 @dataclass
@@ -133,11 +138,13 @@ def _lex_subsets(items):
 
 
 def columns_condition(system, max_cols=DEFAULT_MAX_COLS, force=False):
-    """Search for a columns-condition witness; None means no witness exists.
+    """Build a columns-condition witness greedily; None means no witness exists.
 
-    The returned witness is the first one in the canonical order (cells
-    compared lexicographically as sorted index tuples, cell by cell), which
-    is the lexicographically least witness.
+    Each stage takes the first cell, in _lex_subsets order of the remaining
+    columns, whose sum lies in the span of the used columns (span of none is
+    {0}).  By the lemma in the module docstring a stage with no such cell
+    means no witness, and the chain built is the lexicographically least
+    witness (cells compared as sorted index tuples, cell by cell).
     """
     n = system.ncols
     if n > max_cols and not force:
@@ -145,38 +152,23 @@ def columns_condition(system, max_cols=DEFAULT_MAX_COLS, force=False):
             f"{n} columns exceeds the default cap of {max_cols}; pass force=True to override"
         )
     if n > max_cols:
-        warnings.warn(f"ordered-partition search over {n} columns may be very slow")
+        warnings.warn(f"columns-condition subset scan over {n} columns may be very slow")
 
-    zero_vec = [zero(system.domain)] * system.nrows
-
-    def search(remaining, used_cols, cells, combos):
-        if not remaining:
-            return ColumnsWitness([list(c) for c in cells], [dict(c) for c in combos])
+    remaining = list(range(n))
+    used, cells, combos = [], [], []
+    while remaining:
+        span = [system.column(j) for j in used]
         for cell in _lex_subsets(remaining):
-            total = _cell_sum(system, cell)
-            if not cells:
-                if total != zero_vec:
-                    continue
-                combo = None
-            else:
-                coeffs = solve_in_span(
-                    system.domain, [system.column(j) for j in used_cols], total
-                )
-                if coeffs is None:
-                    continue
-                combo = {j: coeffs[idx] for idx, j in enumerate(used_cols)}
-            rest = [j for j in remaining if j not in cell]
-            result = search(
-                rest,
-                used_cols + list(cell),
-                cells + [cell],
-                combos + ([combo] if combo is not None else []),
-            )
-            if result is not None:
-                return result
-        return None
-
-    return search(list(range(n)), [], [], [])
+            coeffs = solve_in_span(system.domain, span, _cell_sum(system, cell))
+            if coeffs is not None:
+                break
+        else:
+            return None
+        cells.append(cell)
+        combos.append(dict(zip(used, coeffs)))
+        used += cell
+        remaining = [j for j in remaining if j not in cell]
+    return ColumnsWitness(cells, combos[1:])
 
 
 def verify_witness(system, witness):

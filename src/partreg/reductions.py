@@ -15,7 +15,10 @@ Each transform rewrites root-existence questions:
   source construction.
 
 The clearing exponent is always the full total degree, even when a smaller
-power would clear; fidelity to the construction beats minimality.
+power would clear; fidelity to the construction beats minimality.  Every
+transform is one substitute-and-clear over per-variable (numerator,
+denominator) blocks, and apply_transform checks its output against the same
+formula evaluated in the ring at 25 sampled points.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .polys import MultiPoly, eval_field, is_homogeneous, is_translation_invariant
-from .rings import field_from_ring, nonzero_prefix, one
+from .polys import MultiPoly, eval_ring, is_homogeneous, is_translation_invariant
+from .rings import nonzero_prefix, zero
 
 TRANSFORM_IDS = ("shift", "q3", "dq4", "gate:mul", "gate:add")
 
@@ -37,24 +40,31 @@ class ReductionReport:
     verified: tuple  # subset of ("homogeneous", "translation-invariant", "identity-checked")
 
 
+def _shift_blocks(p):
+    n, domain = p.nvars, p.domain
+    return [
+        (MultiPoly.variable(domain, 2 * n, i) + MultiPoly.variable(domain, 2 * n, n + i), None)
+        for i in range(n)
+    ]
+
+
 def htp_shift(p):
     """p'(y1..yn, z1..zn) = p(y1+z1, ..., yn+zn); arity doubles."""
-    n, domain = p.nvars, p.domain
-    variables = [MultiPoly.variable(domain, 2 * n, i) for i in range(2 * n)]
-    return p.compose([variables[i] + variables[n + i] for i in range(n)])
+    return _substitute_and_clear(p, _shift_blocks(p))
 
 
 def _block_difference(domain, nvars, i, j):
     return MultiPoly.variable(domain, nvars, i) - MultiPoly.variable(domain, nvars, j)
 
 
-def _substitute_and_clear(p, blocks, nvars):
+def _substitute_and_clear(p, blocks):
     """Clear p(n_1/d_1, ..., n_k/d_k) with (prod d_i)^deg(p).
 
-    blocks[i] is the (numerator, denominator) pair of polynomials in nvars
-    variables that replaces variable i; a None denominator substitutes the
+    blocks[i] is the (numerator, denominator) pair of polynomials, all of one
+    arity, that replaces variable i; a None denominator substitutes the
     numerator alone and clears nothing.  Each block power is built once.
     """
+    nvars = blocks[0][0].nvars if blocks else 0
     degree = p.degree()
     domain = p.domain
     out = MultiPoly.zero(domain, nvars)
@@ -73,6 +83,23 @@ def _substitute_and_clear(p, blocks, nvars):
     return out
 
 
+def _q3_blocks(p, var_indices):
+    # layout: transformed variable -> 3 consecutive slots, others -> 1 slot
+    var_indices = set(var_indices)
+    total = sum(3 if i in var_indices else 1 for i in range(p.nvars))
+    blocks = []
+    start = 0
+    for i in range(p.nvars):
+        if i in var_indices:
+            numerator = _block_difference(p.domain, total, start, start + 1)
+            blocks.append((numerator, MultiPoly.variable(p.domain, total, start + 2)))
+            start += 3
+        else:
+            blocks.append((MultiPoly.variable(p.domain, total, start), None))
+            start += 1
+    return blocks
+
+
 def quotient3_homogenize(p, var_indices=None):
     """Clear p((z1-z2)/z3, ...) with (prod z_{3i})^deg(p).
 
@@ -81,36 +108,35 @@ def quotient3_homogenize(p, var_indices=None):
     default all-variables call the output has 3k variables and is
     homogeneous of degree k*deg(p).
     """
-    k = p.nvars
     if var_indices is None:
-        var_indices = list(range(k))
-    var_indices = set(var_indices)
-    # layout: transformed variable -> 3 consecutive slots, others -> 1 slot
-    total = sum(3 if i in var_indices else 1 for i in range(k))
-    blocks = []
-    start = 0
-    for i in range(k):
-        if i in var_indices:
-            numerator = _block_difference(p.domain, total, start, start + 1)
-            blocks.append((numerator, MultiPoly.variable(p.domain, total, start + 2)))
-            start += 3
-        else:
-            blocks.append((MultiPoly.variable(p.domain, total, start), None))
-            start += 1
-    return _substitute_and_clear(p, blocks, total)
+        var_indices = range(p.nvars)
+    return _substitute_and_clear(p, _q3_blocks(p, var_indices))
 
 
-def diffquotient4_homogenize(p):
-    """Clear p((z1-z2)/(z3-z4), ...) with (prod (z_{4i-1}-z_{4i}))^deg(p)."""
+def _dq4_blocks(p):
     total = 4 * p.nvars
-    blocks = [
+    return [
         (
             _block_difference(p.domain, total, 4 * i, 4 * i + 1),
             _block_difference(p.domain, total, 4 * i + 2, 4 * i + 3),
         )
         for i in range(p.nvars)
     ]
-    return _substitute_and_clear(p, blocks, total)
+
+
+def diffquotient4_homogenize(p):
+    """Clear p((z1-z2)/(z3-z4), ...) with (prod (z_{4i-1}-z_{4i}))^deg(p)."""
+    return _substitute_and_clear(p, _dq4_blocks(p))
+
+
+def _gate_blocks(p, mode, var_index):
+    n, domain = p.nvars, p.domain
+    blocks = [(MultiPoly.variable(domain, n + 1, i), None) for i in range(n)]
+    if mode == "multiplicative":
+        blocks[var_index] = (blocks[var_index][0], MultiPoly.variable(domain, n + 1, n))
+    else:
+        blocks[var_index] = (_block_difference(domain, n + 1, var_index, n), None)
+    return blocks
 
 
 def ratio_gate(p, mode, var_index):
@@ -123,23 +149,7 @@ def ratio_gate(p, mode, var_index):
         raise ValueError("gated variable index out of range")
     if mode not in ("multiplicative", "additive"):
         raise ValueError("mode must be 'multiplicative' or 'additive'")
-    n = p.nvars
-    domain = p.domain
-    total = n + 1
-    if mode == "additive":
-        subs = []
-        for i in range(n):
-            if i == var_index:
-                subs.append(_block_difference(domain, total, i, n))
-            else:
-                subs.append(MultiPoly.variable(domain, total, i))
-        return p.compose(subs)
-    degree = p.degree()
-    out = MultiPoly.zero(domain, total)
-    for exps, coeff in p.terms.items():
-        new_exps = exps + (degree - exps[var_index],)
-        out = out + MultiPoly(domain, total, {new_exps: coeff})
-    return out
+    return _substitute_and_clear(p, _gate_blocks(p, mode, var_index))
 
 
 # ---------------------------------------------------------------------------
@@ -147,52 +157,31 @@ def ratio_gate(p, mode, var_index):
 # ---------------------------------------------------------------------------
 
 
-def _random_field_point(domain, count, rng):
-    pool = nonzero_prefix(domain, 40)
-    point = []
-    for _ in range(count):
-        point.append(field_from_ring(rng.choice(pool)))
-    return point
+def _identity_sampled(p, out, blocks, rng, samples=25):
+    """Sampled ring check that out(z) = sum c_e prod n_i(z)^e_i d_i(z)^(deg-e_i).
 
-
-def _identity_quotient(p, out, width, rng, samples=25):
-    """Sampled check that out(z) = p(quotients) * clearing for q3 or dq4.
-
-    Each variable owns a block of width 3 ((z1-z2)/z3) or 4 ((z1-z2)/(z3-z4))
-    coordinates of the sample point.
+    (n_i, d_i) are the blocks that replace variable i; no d_i means no
+    clearing factor.  Points are drawn from the first 40 nonzero elements,
+    and a point where some d_i vanishes is skipped.
     """
     degree = p.degree()
+    pool = nonzero_prefix(p.domain, 40)
     for _ in range(samples):
-        z = _random_field_point(p.domain, width * p.nvars, rng)
-        quotients = []
-        clearing = field_from_ring(one(p.domain))
-        for i in range(p.nvars):
-            block = z[width * i : width * (i + 1)]
-            denominator = block[2] - block[3] if width == 4 else block[2]
-            if denominator.is_zero():
-                break
-            quotients.append((block[0] - block[1]) / denominator)
-            clearing = clearing * denominator**degree
-        else:
-            if eval_field(out, z) != eval_field(p, quotients) * clearing:
-                return False
-    return True
-
-
-def _identity_gate(p, out, mode, var_index, rng, samples=25):
-    degree = p.degree()
-    domain = p.domain
-    for _ in range(samples):
-        point = _random_field_point(domain, p.nvars + 1, rng)
-        y1, y2 = point[var_index], point[-1]
-        inner = list(point[:-1])
-        if mode == "multiplicative":
-            inner[var_index] = y1 / y2
-            expected = eval_field(p, inner) * y2**degree
-        else:
-            inner[var_index] = y1 - y2
-            expected = eval_field(p, inner)
-        if eval_field(out, point) != expected:
+        z = tuple(rng.choice(pool) for _ in range(out.nvars))
+        values = [
+            (eval_ring(n, z), None if d is None else eval_ring(d, z)) for n, d in blocks
+        ]
+        if any(d is not None and d.is_zero() for _, d in values):
+            continue
+        expected = zero(p.domain)
+        for exps, coeff in p.terms.items():
+            term = coeff
+            for (n, d), e in zip(values, exps):
+                term = term * n**e
+                if d is not None:
+                    term = term * d ** (degree - e)
+            expected = expected + term
+        if eval_ring(out, z) != expected:
             return False
     return True
 
@@ -202,27 +191,21 @@ def apply_transform(p, transform_id, var_index=0, rng=None):
     rng = rng or random.Random(0)
     verified = []
     if transform_id == "shift":
-        out = htp_shift(p)
-        n = p.nvars
-        subs = [
-            MultiPoly.variable(p.domain, 2 * n, i) + MultiPoly.variable(p.domain, 2 * n, n + i)
-            for i in range(n)
-        ]
-        if p.compose(subs) == out:
-            verified.append("identity-checked")
-    elif transform_id in ("q3", "dq4"):
-        out = quotient3_homogenize(p) if transform_id == "q3" else diffquotient4_homogenize(p)
+        out, blocks = htp_shift(p), _shift_blocks(p)
+    elif transform_id == "q3":
+        out, blocks = quotient3_homogenize(p), _q3_blocks(p, range(p.nvars))
+    elif transform_id == "dq4":
+        out, blocks = diffquotient4_homogenize(p), _dq4_blocks(p)
+    elif transform_id in ("gate:mul", "gate:add"):
+        mode = "multiplicative" if transform_id == "gate:mul" else "additive"
+        out, blocks = ratio_gate(p, mode, var_index), _gate_blocks(p, mode, var_index)
+    else:
+        raise ValueError(f"unknown transform {transform_id!r}")
+    if transform_id in ("q3", "dq4"):
         if not p.is_zero() and is_homogeneous(out) == p.nvars * p.degree():
             verified.append("homogeneous")
         if transform_id == "dq4" and is_translation_invariant(out):
             verified.append("translation-invariant")
-        if _identity_quotient(p, out, 3 if transform_id == "q3" else 4, rng):
-            verified.append("identity-checked")
-    elif transform_id in ("gate:mul", "gate:add"):
-        mode = "multiplicative" if transform_id == "gate:mul" else "additive"
-        out = ratio_gate(p, mode, var_index)
-        if _identity_gate(p, out, mode, var_index, rng):
-            verified.append("identity-checked")
-    else:
-        raise ValueError(f"unknown transform {transform_id!r}")
+    if _identity_sampled(p, out, blocks, rng):
+        verified.append("identity-checked")
     return ReductionReport(input=p, output=out, transform_id=transform_id, verified=tuple(verified))

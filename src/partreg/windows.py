@@ -314,6 +314,7 @@ def _least_valid_coloring(size, edges, colors):
         return None
     if size == 0:
         return ()
+    colors = min(colors, size)  # a fresh color beyond the size is never reached
     closing = [[] for _ in range(size)]  # (mask of the other members, last member)
     for e in edges:
         closing[e[-2]].append((sum(1 << i for i in e[:-2]), e[-1]))
@@ -461,6 +462,15 @@ def max_avoiding_subset(size, edges):
     return tuple(i for i in range(size) if best >> i & 1)
 
 
+def transfers(p, mode):
+    """Whether a density verdict in this mode transfers beyond its window."""
+    if mode == "additive":
+        return is_translation_invariant(p)
+    if mode == "multiplicative":
+        return is_homogeneous(p) is not None
+    raise ValueError("mode must be 'additive' or 'multiplicative'")
+
+
 def density_window_check(p, window, delta, mode="additive", injective=False):
     """Certify or refute the delta-density property on one window.
 
@@ -472,12 +482,7 @@ def density_window_check(p, window, delta, mode="additive", injective=False):
     delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
-    if mode not in ("additive", "multiplicative"):
-        raise ValueError("mode must be 'additive' or 'multiplicative'")
-    if mode == "additive":
-        transferable = is_translation_invariant(p)
-    else:
-        transferable = is_homogeneous(p) is not None
+    transferable = transfers(p, mode)
     if not transferable:
         warnings.warn(
             "polynomial lacks the structural property required for the certificate "
@@ -516,25 +521,24 @@ def density_window_check(p, window, delta, mode="additive", injective=False):
 
 
 def disjoint_solutions(p, window, count, injective=False):
-    """count root tuples with pairwise disjoint coordinate-value sets, or None."""
+    """The first count root tuples, in tuple order, with pairwise disjoint
+    coordinate-value sets, or None; backtracks over a stack of tuple indices.
+    """
     if count < 1:
         raise ValueError("count must be positive")
     hypergraph = enumerate_roots(p, window, injective)
     tuples = hypergraph.tuples
-
-    def backtrack(start, chosen, used):
-        if len(chosen) == count:
-            return list(chosen)
-        for idx in range(start, len(tuples)):
-            values = set(tuples[idx])
-            if values & used:
-                continue
-            result = backtrack(idx + 1, chosen + [tuples[idx]], used | values)
-            if result is not None:
-                return result
-        return None
-
-    picked = backtrack(0, [], set())
-    if picked is None:
-        return None
-    return [hypergraph.value_tuple(tup) for tup in picked]
+    picked, used, idx = [], set(), 0
+    while len(picked) < count:
+        while idx < len(tuples) and not used.isdisjoint(tuples[idx]):
+            idx += 1
+        if idx < len(tuples):
+            picked.append(idx)
+            used.update(tuples[idx])
+            idx += 1
+        elif picked:
+            used.difference_update(tuples[picked[-1]])  # chosen tuples are disjoint
+            idx = picked.pop() + 1
+        else:
+            return None
+    return [hypergraph.value_tuple(tuples[i]) for i in picked]

@@ -1,7 +1,10 @@
 import copy
+import functools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from partreg.certs import (
     SCHEMA_VERSION,
@@ -18,11 +21,19 @@ from partreg.certs import (
     witness_from_json,
     witness_to_json,
 )
+from partreg.colorings import parse_coloring_spec, refutation_scan
 from partreg.polys import parse_poly, poly_to_records
 from partreg.rado import LinearSystem, columns_condition
 from partreg.reductions import apply_transform
 from partreg.rings import INTEGERS, from_int, gf_poly_domain
-from partreg.windows import Window, check_window_l_pr, density_window_check
+from partreg.windows import (
+    Window,
+    check_window_l_pr,
+    density_window_check,
+    disjoint_solutions,
+    enumerate_roots,
+    semidecide_l_pr,
+)
 
 GF2 = gf_poly_domain(2)
 
@@ -34,10 +45,15 @@ def pp(domain, text, var_order=None):
 
 SCHUR = pp(INTEGERS, "x + y - z", var_order=["x", "y", "z"])
 AP3 = pp(INTEGERS, "x + y - 2*z", var_order=["x", "y", "z"])
+DOUBLING = pp(INTEGERS, "x - 2*y", var_order=["x", "y"])
+
+
+def zsystem(*row):
+    return LinearSystem(INTEGERS, [[from_int(INTEGERS, c) for c in row]])
 
 
 def schur_system():
-    return LinearSystem(INTEGERS, [[from_int(INTEGERS, c) for c in (1, 1, -1)]])
+    return zsystem(1, 1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +133,59 @@ def sample_documents():
     return docs
 
 
+@functools.cache
+def every_kind_documents():
+    """One small honest certificate of every kind, the sample documents first."""
+    docs = sample_documents()
+    docs.append(make_certificate("NoColumnsWitness", INTEGERS, matrix=zsystem(1, -2)))
+    constant = check_window_l_pr(AP3, Window.interval(INTEGERS, 1, 3), 2)  # x = y = z
+    docs.append(from_window_certificate(constant, AP3))
+    window = Window.interval(INTEGERS, 1, 10)
+    spec = parse_coloring_spec(INTEGERS, "basep:3")
+    hit = refutation_scan(SCHUR, spec, window)
+    docs.append(
+        make_certificate(
+            "MonochromaticRoot",
+            INTEGERS,
+            poly=SCHUR,
+            window=window,
+            payload={"tuple": [window.index_of()[v] for v in hit]},
+            coloring_spec=spec,
+        )
+    )
+    docs.append(
+        make_certificate(
+            "Clean", INTEGERS, poly=DOUBLING, window=window, coloring_spec=spec, injective=False
+        )
+    )
+    last = semidecide_l_pr(DOUBLING, 2, budget=5).certificate
+    exhausted = from_window_certificate(last, DOUBLING)
+    exhausted["kind"] = "Exhausted"
+    docs.append(exhausted)
+    window = Window.interval(INTEGERS, 1, 12)
+    tuples = disjoint_solutions(SCHUR, window, 2, injective=True)
+    docs.append(
+        make_certificate(
+            "DisjointSolutions",
+            INTEGERS,
+            poly=SCHUR,
+            window=window,
+            payload={"tuples": [[window.index_of()[v] for v in t] for t in tuples]},
+            injective=True,
+        )
+    )
+    window = Window.interval(INTEGERS, 1, 5)
+    roots = enumerate_roots(SCHUR, window)
+    docs.append(
+        make_certificate(
+            "Roots", INTEGERS, poly=SCHUR, window=window, payload={"tuples": roots.tuples}
+        )
+    )
+    return docs
+
+
 def test_honest_certificates_verify():
-    for doc in sample_documents():
+    for doc in every_kind_documents():
         ok, message = verify_certificate(doc)
         assert ok, f"{doc['kind']}: {message}"
 
@@ -156,7 +223,10 @@ def _mutate(doc, rng):
             # or force every position to one color: any root edge goes mono
             doc["payload"]["coloring"] = [0] * len(coloring)
     elif kind == "PartitionCertified":
-        doc["payload"]["constant_root"] = 0  # 1 is not a constant root of Schur
+        if rng.random() < 0.5:
+            doc["payload"]["constant_root"] = 0  # 1 is not a constant root of Schur
+        else:
+            doc["poly"] = poly_to_records(DOUBLING)  # 2-colorable on the window
     elif kind == "DensityAvoider":
         avoider = doc["payload"]["avoider"]
         if rng.random() < 0.5:
@@ -166,7 +236,15 @@ def _mutate(doc, rng):
             size = len(doc["window"]["elements"])
             doc["payload"]["avoider"] = list(range(size))
     elif kind == "DensityCertified":
-        return None  # no finite payload to corrupt
+        choice = rng.randrange(3)
+        if choice == 0:
+            # a lower threshold that the maximum avoider meets
+            size = len(doc["window"]["elements"])
+            doc["delta"] = f"{doc['payload']['max_avoider_size']}/{size}"
+        elif choice == 1:
+            doc["payload"]["max_avoider_size"] -= 1
+        else:
+            doc["payload"]["transferable"] = not doc["payload"]["transferable"]
     elif kind == "Reduction":
         records = doc["payload"]["output_poly"]
         records["terms"][0]["c"] = "99"
@@ -197,3 +275,101 @@ def test_missing_fields_rejected(field):
     broken = {k: v for k, v in doc.items() if k != field}
     with pytest.raises(VerificationError):
         verify_certificate(broken)
+
+
+# ---------------------------------------------------------------------------
+# verdicts without a finite payload are re-decided
+# ---------------------------------------------------------------------------
+
+
+def _tampered(kind):
+    doc = copy.deepcopy(next(d for d in every_kind_documents() if d["kind"] == kind))
+    if kind == "NoColumnsWitness":
+        doc["matrix"] = [["1", "1", "-1"]]  # Schur: a witness exists
+    elif kind == "PartitionCertified":
+        doc["poly"] = poly_to_records(DOUBLING)
+    elif kind == "DensityCertified":
+        doc["delta"] = "1/3"  # the maximum avoider, 5 of 9, meets it
+    elif kind == "Clean":
+        doc["poly"] = poly_to_records(SCHUR)  # (1, 3, 4) is monochromatic under basep:3
+    return doc
+
+
+@pytest.mark.parametrize(
+    "kind", ["NoColumnsWitness", "PartitionCertified", "DensityCertified", "Clean"]
+)
+def test_tampered_payload_free_verdicts_are_rejected(kind):
+    ok, message = verify_certificate(_tampered(kind))
+    assert not ok, message
+
+
+def test_constant_root_needs_non_injective_roots():
+    doc = next(d for d in every_kind_documents() if "constant_root" in d["payload"])
+    assert verify_certificate(doc)[0]
+    # x = y = z is no root once coordinates must be distinct
+    ok, message = verify_certificate(dict(doc, injective=True))
+    assert not ok, message
+
+
+def test_known_leaks_are_malformed_not_raised():
+    doc = copy.deepcopy(every_kind_documents()[1])  # PartitionColorable
+    doc["poly"]["terms"][0]["e"].append(0)  # exponent arity no longer nvars
+    assert verify_certificate(doc)[0] is False
+    doc = copy.deepcopy(every_kind_documents()[1])
+    doc["window"]["elements"][1] = doc["window"]["elements"][0]  # repeated element
+    assert verify_certificate(doc)[0] is False
+
+
+# ---------------------------------------------------------------------------
+# fuzz: any mutation gives (bool, str) or VerificationError
+# ---------------------------------------------------------------------------
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.text("0123456789-/txyz+*^()", max_size=4),
+    st.lists(st.integers(-2, 5), max_size=3),
+    st.lists(st.text("12-", max_size=2), max_size=3),
+    st.just({}),
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.data())
+def test_fuzzed_certificates_verify_or_raise(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(every_kind_documents())))
+    path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    operation = data.draw(st.sampled_from(["replace", "drop", "repeat"]))
+    if operation == "replace":
+        parent[path[-1]] = data.draw(JSON_VALUES)
+    elif operation == "drop":
+        del parent[path[-1]]
+    elif isinstance(parent[path[-1]], list) and parent[path[-1]]:
+        parent[path[-1]].append(copy.deepcopy(parent[path[-1]][0]))
+    try:
+        result = verify_certificate(doc)
+    except VerificationError:
+        return
+    assert isinstance(result, tuple) and len(result) == 2
+    assert isinstance(result[0], bool) and isinstance(result[1], str)

@@ -147,6 +147,29 @@ def test_roots_disjoint(capsys):
     assert "disjoint root tuples" in out
 
 
+def test_roots_disjoint_large_window(capsys, tmp_path):
+    # 1001 is the most coordinate-disjoint roots of x - 2y in 1..3000, and
+    # first-fit reaches 1000 without backtracking or recursion
+    cert_file = tmp_path / "disjoint.json"
+    code, out, _ = run(
+        capsys,
+        "roots",
+        "--poly",
+        "x-2*y",
+        "--window",
+        "1..3000",
+        "--disjoint",
+        "1000",
+        "--out",
+        str(cert_file),
+    )
+    assert code == EXIT_DEFINITIVE
+    assert out.count("\n  (") == 1000
+    code, out, _ = run(capsys, "verify", str(cert_file))
+    assert code == EXIT_DEFINITIVE
+    assert out.startswith("VALID")
+
+
 def test_refute_clean_is_inconclusive(capsys):
     code, out, _ = run(
         capsys, "refute", "--poly", "x - 2*y", "--coloring", "basep:3", "--window", "1..200"
@@ -188,6 +211,27 @@ def test_verify_rejects_tampering(capsys, tmp_path):
     run(capsys, "linear", "--matrix", "1 1 -1", "--out", str(cert_file))
     doc = json.loads(cert_file.read_text())
     doc["payload"]["cells"] = [[0, 1], [2]]
+    cert_file.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(cert_file))
+    assert code == EXIT_ERROR
+    assert out.startswith("INVALID")
+
+
+def test_verify_re_decides_a_certified_window(capsys, tmp_path):
+    # a Schur certificate relabelled as x - 2y, which is 2-colorable on the
+    # same window, used to print "VALID: structural check only"
+    cert_file = tmp_path / "schur.json"
+    argv = ["search", "--poly", "x + y - z", "--colors", "2", "--budget", "12"]
+    run(capsys, *argv, "--out", str(cert_file))
+    code, out, _ = run(capsys, "verify", str(cert_file))
+    assert code == EXIT_DEFINITIVE
+    assert out.startswith("VALID")
+    doc = json.loads(cert_file.read_text())
+    doc["poly"] = {
+        "nvars": 2,
+        "terms": [{"c": "1", "e": [1, 0]}, {"c": "-2", "e": [0, 1]}],
+        "vars": ["x", "y"],
+    }
     cert_file.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", str(cert_file))
     assert code == EXIT_ERROR

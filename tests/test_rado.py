@@ -7,6 +7,8 @@ import pytest
 from partreg.rado import (
     ColumnsWitness,
     LinearSystem,
+    _cell_sum,
+    _lex_subsets,
     columns_condition,
     solve_in_span,
     verify_witness,
@@ -23,6 +25,7 @@ from partreg.rings import (
 
 GF2 = gf_poly_domain(2)
 GF3 = gf_poly_domain(3)
+GF4 = gf_poly_domain(4)
 
 
 def zmat(rows):
@@ -208,8 +211,6 @@ def test_exhaustive_agreement_with_naive_search():
 
         for cells in all_ordered_partitions(cols):
             ok = True
-            from partreg.rado import _cell_sum
-
             zero_vec = [from_int(INTEGERS, 0)] * system.nrows
             if _cell_sum(system, cells[0]) != zero_vec:
                 continue
@@ -241,3 +242,84 @@ def test_cap_on_column_count():
     with pytest.warns(UserWarning):
         witness = columns_condition(zmat([[1] * 5 + [-5]]), max_cols=4, force=True)
     assert witness is not None
+
+
+# ---------------------------------------------------------------------------
+# the greedy chain against the backtracking search it replaced
+# ---------------------------------------------------------------------------
+
+
+def backtracking_columns_condition(system):
+    """Oracle: depth-first search over ordered partitions, cells in
+    _lex_subsets order, backtracking past any cell that does not extend."""
+    zero_vec = [from_int(system.domain, 0)] * system.nrows
+
+    def search(remaining, used_cols, cells, combos):
+        if not remaining:
+            return ColumnsWitness([list(c) for c in cells], [dict(c) for c in combos])
+        for cell in _lex_subsets(remaining):
+            total = _cell_sum(system, cell)
+            if not cells:
+                if total != zero_vec:
+                    continue
+                combo = None
+            else:
+                coeffs = solve_in_span(
+                    system.domain, [system.column(j) for j in used_cols], total
+                )
+                if coeffs is None:
+                    continue
+                combo = {j: coeffs[idx] for idx, j in enumerate(used_cols)}
+            rest = [j for j in remaining if j not in cell]
+            result = search(
+                rest,
+                used_cols + list(cell),
+                cells + [cell],
+                combos + ([combo] if combo is not None else []),
+            )
+            if result is not None:
+                return result
+        return None
+
+    return search(list(range(system.ncols)), [], [], [])
+
+
+@pytest.mark.parametrize("domain", [INTEGERS, GF2, GF3, GF4], ids=str)
+def test_greedy_chain_matches_backtracking_oracle(domain):
+    rng = random.Random(f"greedy:{domain}")
+    found = 0
+    for _ in range(400):
+        m, n = rng.randrange(1, 4), rng.randrange(1, 7)
+        # few distinct small entries, many zeros: zero-sum cells are common
+        entries = [
+            [enum_element(domain, rng.choice((0, 0, 1, 1, 2, 3))) for _ in range(n)]
+            for _ in range(m)
+        ]
+        system = LinearSystem(domain, entries)
+        greedy = columns_condition(system)
+        oracle = backtracking_columns_condition(system)
+        if oracle is None:
+            assert greedy is None
+            continue
+        found += 1
+        assert greedy is not None
+        assert greedy.cells == oracle.cells
+        assert greedy.combos == oracle.combos
+    assert 40 <= found <= 360  # both verdicts are exercised
+
+
+def non_regular_family(n):
+    """2 x n, top row 1 -1 1 -1 2 -2 3 -3 ..., bottom row marks the last column.
+
+    The marked column can neither join the zero-sum first cell nor lie in the
+    span of the others (all with bottom entry 0), so no witness exists.
+    """
+    top = [(1 if k < 4 else (k - 4) // 2 + 2) * (-1) ** k for k in range(n)]
+    return zmat([top, [0] * (n - 1) + [1]])
+
+
+def test_non_regular_family_wide():
+    assert backtracking_columns_condition(non_regular_family(6)) is None
+    assert columns_condition(non_regular_family(9)) is None
+    with pytest.warns(UserWarning):
+        assert columns_condition(non_regular_family(12), force=True) is None

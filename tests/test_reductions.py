@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from partreg import reductions
 from partreg.polys import (
     MultiPoly,
     eval_field,
@@ -228,6 +229,29 @@ def test_apply_transform_reports():
             assert "homogeneous" in report.verified
         if transform == "dq4":
             assert {"homogeneous", "translation-invariant"} <= set(report.verified)
+
+
+@pytest.mark.parametrize("transform", TRANSFORM_IDS)
+def test_identity_check_rejects_perturbed_output(transform, monkeypatch):
+    builder = {
+        "shift": "htp_shift",
+        "q3": "quotient3_homogenize",
+        "dq4": "diffquotient4_homogenize",
+        "gate:mul": "ratio_gate",
+        "gate:add": "ratio_gate",
+    }[transform]
+    honest = getattr(reductions, builder)
+
+    def perturbed(*args):
+        out = honest(*args)
+        return out + MultiPoly.variable(out.domain, out.nvars, out.nvars - 1)
+
+    for domain in (INTEGERS, GF3):
+        p = pp(domain, "x^2*y + 2*y - 1", var_order=["x", "y"])
+        assert "identity-checked" in apply_transform(p, transform, var_index=1).verified
+        monkeypatch.setattr(reductions, builder, perturbed)
+        assert "identity-checked" not in apply_transform(p, transform, var_index=1).verified
+        monkeypatch.setattr(reductions, builder, honest)
 
 
 def test_apply_transform_unknown():

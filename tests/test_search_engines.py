@@ -1,8 +1,9 @@
 """The pruning search engines against the plain searches they replaced.
 
 The oracles below are the earlier recursive backtracking colorer, the
-bound-by-|allowed| branch and bound and the all-pairs edge minimisation.  The
-engines must return exactly what they return, avoider tuples included.
+bound-by-|allowed| branch and bound, the all-pairs edge minimisation and the
+recursive disjoint-family search.  The engines must return exactly what they
+return, avoider tuples and tuple families included.
 """
 
 import random
@@ -18,10 +19,13 @@ from partreg.windows import (
     _minimal_edges,
     check_window_l_pr,
     density_window_check,
+    disjoint_solutions,
+    enumerate_roots,
     max_avoiding_subset,
 )
 
 AP3 = parse_poly(INTEGERS, "x + y - 2*z", var_order=["x", "y", "z"])[0]
+SCHUR = parse_poly(INTEGERS, "x + y - z", var_order=["x", "y", "z"])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +165,35 @@ def test_three_ap_free_density_r3_20():
     assert cert.max_avoider_size == 9
 
 
+def disjoint_solutions_oracle(p, window, count, injective=False):
+    tuples = enumerate_roots(p, window, injective).tuples
+
+    def backtrack(start, chosen, used):
+        if len(chosen) == count:
+            return list(chosen)
+        for idx in range(start, len(tuples)):
+            values = set(tuples[idx])
+            if values & used:
+                continue
+            result = backtrack(idx + 1, chosen + [tuples[idx]], used | values)
+            if result is not None:
+                return result
+        return None
+
+    picked = backtrack(0, [], set())
+    return None if picked is None else [tuple(window.elements[i] for i in t) for t in picked]
+
+
+@pytest.mark.parametrize("poly", [SCHUR, AP3], ids=["schur", "ap3"])
+@pytest.mark.parametrize("injective", [False, True], ids=["any", "injective"])
+def test_disjoint_solutions_match_recursive_oracle(poly, injective):
+    for hi in range(1, 16):
+        window = Window.interval(INTEGERS, 1, hi)
+        for count in range(1, 6):
+            expected = disjoint_solutions_oracle(poly, window, count, injective)
+            assert disjoint_solutions(poly, window, count, injective) == expected
+
+
 # ---------------------------------------------------------------------------
 # depth safety
 # ---------------------------------------------------------------------------
@@ -185,3 +218,10 @@ def test_many_disjoint_edges_do_not_recurse():
     avoider = max_avoiding_subset(2000, edges)
     assert len(avoider) == 1000
     assert all(not set(e) <= set(avoider) for e in edges)
+
+
+def test_color_count_beyond_the_window_is_harmless():
+    # a certificate may claim any color count; only len(window) colors can
+    # ever be used, so a huge count must cost no more than that
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3)]
+    assert _least_valid_coloring(4, edges, 2**40) == _least_valid_coloring(4, edges, 4)
