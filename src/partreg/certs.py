@@ -63,18 +63,14 @@ def matrix_from_json(domain, data):
 
 
 def _window_cert_payload(cert):
-    payload = {}
-    if cert.coloring is not None:
-        payload["coloring"] = list(cert.coloring)
-    if cert.avoider is not None:
-        payload["avoider"] = list(cert.avoider)
-    if cert.max_avoider_size is not None:
-        payload["max_avoider_size"] = cert.max_avoider_size
-    if cert.constant_root is not None:
-        payload["constant_root"] = cert.constant_root
-    if cert.transferable is not None:
-        payload["transferable"] = cert.transferable
-    return payload
+    fields = {
+        "coloring": None if cert.coloring is None else list(cert.coloring),
+        "avoider": None if cert.avoider is None else list(cert.avoider),
+        "max_avoider_size": cert.max_avoider_size,
+        "constant_root": cert.constant_root,
+        "transferable": cert.transferable,
+    }
+    return {key: value for key, value in fields.items() if value is not None}
 
 
 def make_certificate(
@@ -106,22 +102,17 @@ def make_certificate(
         doc["poly"] = polys.poly_to_records(poly)
         if var_names:
             doc["poly"]["vars"] = list(var_names)
-    if matrix is not None:
-        doc["matrix"] = matrix_to_json(matrix)
-    if window is not None:
-        doc["window"] = window_to_json(window)
-    if colors is not None:
-        doc["colors"] = colors
-    if delta is not None:
-        doc["delta"] = str(Fraction(delta))
-    if mode is not None:
-        doc["mode"] = mode
-    if injective is not None:
-        doc["injective"] = injective
-    if coloring_spec is not None:
-        doc["coloring_spec"] = str(coloring_spec)
-    if elapsed_ms is not None:
-        doc["elapsed_ms"] = elapsed_ms
+    fields = {
+        "matrix": None if matrix is None else matrix_to_json(matrix),
+        "window": None if window is None else window_to_json(window),
+        "colors": colors,
+        "delta": None if delta is None else str(Fraction(delta)),
+        "mode": mode,
+        "injective": injective,
+        "coloring_spec": None if coloring_spec is None else str(coloring_spec),
+        "elapsed_ms": elapsed_ms,
+    }
+    doc.update((key, value) for key, value in fields.items() if value is not None)
     return doc
 
 

@@ -87,8 +87,8 @@ def _cmd_search(args):
     result = windows.semidecide_l_pr(p, args.colors, args.injective, args.budget)
     elapsed = int((time.monotonic() - start) * 1000)
     cert = result.certificate
+    doc = certs.from_window_certificate(cert, p, names, args.argv, elapsed)
     if result.status == "certified":
-        doc = certs.from_window_certificate(cert, p, names, args.argv, elapsed)
         _emit(
             doc,
             args,
@@ -98,7 +98,6 @@ def _cmd_search(args):
             ],
         )
         return EXIT_DEFINITIVE
-    doc = certs.from_window_certificate(cert, p, names, args.argv, elapsed)
     doc["kind"] = "Exhausted"
     _emit(
         doc,
@@ -152,6 +151,9 @@ def _cmd_roots(args):
     domain = rings.parse_domain(args.domain)
     p, names = polys.parse_poly(domain, args.poly)
     window = _parse_window(domain, args.window)
+    fields = dict(
+        command=args.argv, poly=p, var_names=names, window=window, injective=args.injective
+    )
     start = time.monotonic()
     if args.disjoint:
         solutions = windows.disjoint_solutions(p, window, args.disjoint, args.injective)
@@ -160,16 +162,9 @@ def _cmd_roots(args):
             print(f"no {args.disjoint} coordinate-disjoint root tuples in the window")
             return EXIT_INCONCLUSIVE
         index_of = window.index_of()
+        payload = {"tuples": [[index_of[v] for v in tup] for tup in solutions]}
         doc = certs.make_certificate(
-            "DisjointSolutions",
-            domain,
-            command=args.argv,
-            poly=p,
-            var_names=names,
-            window=window,
-            payload={"tuples": [[index_of[v] for v in tup] for tup in solutions]},
-            injective=args.injective,
-            elapsed_ms=elapsed,
+            "DisjointSolutions", domain, payload=payload, elapsed_ms=elapsed, **fields
         )
         lines = ["disjoint root tuples:"] + [
             "  (" + ", ".join(str(v) for v in tup) + ")" for tup in solutions
@@ -178,20 +173,11 @@ def _cmd_roots(args):
         return EXIT_DEFINITIVE
     hypergraph = windows.enumerate_roots(p, window, args.injective)
     elapsed = int((time.monotonic() - start) * 1000)
-    doc = certs.make_certificate(
-        "Roots",
-        domain,
-        command=args.argv,
-        poly=p,
-        var_names=names,
-        window=window,
-        payload={
-            "tuples": [list(t) for t in hypergraph.tuples],
-            "edges": [list(e) for e in hypergraph.edges],
-        },
-        injective=args.injective,
-        elapsed_ms=elapsed,
-    )
+    payload = {
+        "tuples": [list(t) for t in hypergraph.tuples],
+        "edges": [list(e) for e in hypergraph.edges],
+    }
+    doc = certs.make_certificate("Roots", domain, payload=payload, elapsed_ms=elapsed, **fields)
     lines = [f"{len(hypergraph.tuples)} root tuples, {len(hypergraph.edges)} edges"]
     for tup in hypergraph.tuples[:50]:
         lines.append("  (" + ", ".join(str(v) for v in hypergraph.value_tuple(tup)) + ")")
@@ -209,18 +195,17 @@ def _cmd_refute(args):
     start = time.monotonic()
     hit = colorings.refutation_scan(p, spec, window, args.injective)
     elapsed = int((time.monotonic() - start) * 1000)
+    fields = dict(
+        command=args.argv,
+        poly=p,
+        var_names=names,
+        window=window,
+        coloring_spec=spec,
+        injective=args.injective,
+        elapsed_ms=elapsed,
+    )
     if hit is None:
-        doc = certs.make_certificate(
-            "Clean",
-            domain,
-            command=args.argv,
-            poly=p,
-            var_names=names,
-            window=window,
-            coloring_spec=spec,
-            injective=args.injective,
-            elapsed_ms=elapsed,
-        )
+        doc = certs.make_certificate("Clean", domain, **fields)
         _emit(
             doc,
             args,
@@ -231,18 +216,8 @@ def _cmd_refute(args):
         )
         return EXIT_INCONCLUSIVE
     index_of = window.index_of()
-    doc = certs.make_certificate(
-        "MonochromaticRoot",
-        domain,
-        command=args.argv,
-        poly=p,
-        var_names=names,
-        window=window,
-        payload={"tuple": [index_of[v] for v in hit]},
-        coloring_spec=spec,
-        injective=args.injective,
-        elapsed_ms=elapsed,
-    )
+    payload = {"tuple": [index_of[v] for v in hit]}
+    doc = certs.make_certificate("MonochromaticRoot", domain, payload=payload, **fields)
     _emit(
         doc,
         args,

@@ -1,15 +1,17 @@
 """Sparse multivariate polynomials over Z or GF(q)[t].
 
 Variables are positional; terms map exponent tuples to nonzero ring
-coefficients.  Besides arithmetic and exact evaluation over the fraction
-field, this module hosts the two decidable structural predicates
-(homogeneity and additive translation invariance) and the rootless-quadratic
-combination that folds a polynomial system into a single polynomial with the
-same solution set.
+coefficients.  Besides arithmetic and exact evaluation (over the ring on raw
+values, and over the fraction field), this module hosts the two decidable
+structural predicates (homogeneity, and additive translation invariance by
+Hasse derivatives along (1,...,1) without expanding p(x+r)) and the
+rootless-quadratic combination that folds a polynomial system into a single
+polynomial with the same solution set.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -115,14 +117,8 @@ class MultiPoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
-        result = MultiPoly.constant(self.domain, self.nvars, one(self.domain))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        unit = MultiPoly.constant(self.domain, self.nvars, one(self.domain))
+        return rings.power(MultiPoly.__mul__, unit, self, n)
 
     def scale(self, coeff):
         if coeff.is_zero():
@@ -202,21 +198,28 @@ def eval_field(p, point):
 
 
 def eval_ring(p, point):
-    """Exact value of p at a point of R^nvars (faster than eval_field)."""
+    """Exact value of p at a point of R^nvars, folded on raw values and wrapped once."""
     if len(point) != p.nvars:
         raise ValueError(f"expected {p.nvars} coordinates, got {len(point)}")
-    total = zero(p.domain)
-    cache = {}
+    domain = p.domain
+    values = []
+    for x in point:
+        if not isinstance(x, DomainElement) or (x.domain is not domain and x.domain != domain):
+            raise TypeError("mixed-domain arithmetic")
+        values.append(x.value)
+    ops = rings.raw_ops(domain.kind, domain.q)
+    total = ops.zero
+    powers = {}
     for exps, coeff in p.terms.items():
-        term = coeff
+        term = coeff.value
         for i, e in enumerate(exps):
             if e:
-                key = (i, e)
-                if key not in cache:
-                    cache[key] = point[i] ** e
-                term = term * cache[key]
-        total = total + term
-    return total
+                power = powers.get((i, e))
+                if power is None:
+                    power = powers[i, e] = ops.pow(values[i], e)
+                term = ops.mul(term, power)
+        total = ops.add(total, term)
+    return DomainElement(domain, total)
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +243,49 @@ def is_homogeneous(p):
 def is_translation_invariant(p):
     """Decide whether p(x1+r, ..., xn+r) - p(x1, ..., xn) is identically 0.
 
-    Checked by full symbolic expansion in n+1 variables, so the answer is a
-    theorem, not a sampling result.
+    The coefficient of r^k in p(x+r) is the Hasse derivative along (1,...,1),
+    D^(k)p = sum_e c_e sum_{j <= e, |j| = k} prod C(e_i, j_i) x^(e-j), so p is
+    invariant iff D^(k)p = 0 for all k >= 1.  In characteristic 0,
+    D^(k) = (D^(1))^k / k!, so k = 1 suffices.  In characteristic p,
+    D^(a) D^(b) = C(a+b, a) D^(a+b), and by Lucas' theorem the product of the
+    D^(p^s) taken along the base-p digits of k is a nonzero multiple of D^(k),
+    so testing k = p^s <= deg p suffices.  Nothing is expanded, and the answer
+    is a theorem, not a sampling result.
     """
     if p.nvars == 0 or p.is_zero():
         return True
-    n = p.nvars
-    r = MultiPoly.variable(p.domain, n + 1, n)
-    shifted_vars = [MultiPoly.variable(p.domain, n + 1, i) + r for i in range(n)]
-    return p.compose(shifted_vars) == p.lift(n + 1)
+    ops = rings.raw_ops(p.domain.kind, p.domain.q)
+    degree = p.degree()
+    k = 1
+    while k <= degree:
+        derivative = {}
+        for exps, coeff in p.terms.items():
+            for lowered, binomial in _lowerings(exps, k):
+                multiple = ops.from_int(binomial)
+                if multiple:
+                    term = ops.mul(coeff.value, multiple)
+                    acc = derivative.get(lowered)
+                    derivative[lowered] = term if acc is None else ops.add(acc, term)
+        if any(derivative.values()):
+            return False
+        if p.domain.kind == "Z":
+            break
+        k *= p.domain.coeff_field.p
+    return True
+
+
+def _lowerings(exps, k):
+    """(exps - j, prod C(e_i, j_i)) for every j <= exps with |j| = k."""
+    if not k:
+        return [(exps, 1)]
+    if not exps:
+        return []
+    e = exps[0]
+    return [
+        ((e - j,) + rest, math.comb(e, j) * binomial)
+        for j in range(min(e, k) + 1)
+        for rest, binomial in _lowerings(exps[1:], k - j)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +392,7 @@ class _PolyParser:
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError("trailing input", self.text, pos)
-        nvars = len(self.var_order)
-        poly = MultiPoly(
-            self.domain, nvars, {e + (0,) * (nvars - len(e)): c for e, c in raw.terms.items()}
-        )
-        return poly, self.var_order
+        return self._pad(raw), self.var_order
 
     # raw polynomials during parsing use the running variable count; terms are
     # re-padded at the end once all variables are known.
@@ -392,16 +425,11 @@ class _PolyParser:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                rhs = self.factor()
-                acc, rhs = self._pad(acc), self._pad(rhs)
-                acc = acc * rhs
-            elif kind in ("int", "name") or (kind == "op" and val == "("):
-                # juxtaposition, e.g. "2x" or "2(x+y)"
-                rhs = self.factor()
-                acc, rhs = self._pad(acc), self._pad(rhs)
-                acc = acc * rhs
-            else:
+            elif not (kind in ("int", "name") or (kind == "op" and val == "(")):
                 return acc
+            # an explicit "*", or juxtaposition such as "2x" or "2(x+y)"
+            rhs = self.factor()
+            acc = self._pad(acc) * self._pad(rhs)
 
     def factor(self):
         base = self.atom()

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .polys import MultiPoly, eval_ring, is_homogeneous, is_translation_invariant
-from .rings import nonzero_prefix, zero
+from .rings import DomainElement, nonzero_prefix, raw_ops
 
 TRANSFORM_IDS = ("shift", "q3", "dq4", "gate:mul", "gate:add")
 
@@ -162,28 +162,33 @@ def _identity_sampled(p, out, blocks, rng, samples=25):
 
     (n_i, d_i) are the blocks that replace variable i; no d_i means no
     clearing factor.  Points are drawn from the first 40 nonzero elements,
-    and a point where some d_i vanishes is skipped.
+    and a point where some d_i vanishes is skipped; a check that skips every
+    point checks nothing, so it fails.
     """
     degree = p.degree()
     pool = nonzero_prefix(p.domain, 40)
+    ops = raw_ops(p.domain.kind, p.domain.q)
+    checked = 0
     for _ in range(samples):
         z = tuple(rng.choice(pool) for _ in range(out.nvars))
         values = [
-            (eval_ring(n, z), None if d is None else eval_ring(d, z)) for n, d in blocks
+            (eval_ring(n, z).value, None if d is None else eval_ring(d, z).value)
+            for n, d in blocks
         ]
-        if any(d is not None and d.is_zero() for _, d in values):
+        if any(d is not None and not d for _, d in values):
             continue
-        expected = zero(p.domain)
+        expected = ops.zero
         for exps, coeff in p.terms.items():
-            term = coeff
+            term = coeff.value
             for (n, d), e in zip(values, exps):
-                term = term * n**e
+                term = ops.mul(term, ops.pow(n, e))
                 if d is not None:
-                    term = term * d ** (degree - e)
-            expected = expected + term
-        if eval_ring(out, z) != expected:
+                    term = ops.mul(term, ops.pow(d, degree - e))
+            expected = ops.add(expected, term)
+        if eval_ring(out, z) != DomainElement(p.domain, expected):
             return False
-    return True
+        checked += 1
+    return checked > 0
 
 
 def apply_transform(p, transform_id, var_index=0, rng=None):

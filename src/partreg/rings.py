@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -200,6 +201,49 @@ def _coeff_field(q):
     return _PrimeField(p) if e == 1 else _ExtensionField(p, e)
 
 
+def power(mul, one, a, n):
+    """a^n for n >= 0 by square-and-multiply, never multiplying by one."""
+    result = None
+    while n:
+        if n & 1:
+            result = a if result is None else mul(result, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
+    return one if result is None else result
+
+
+class RawOps(NamedTuple):
+    """Ring ops on raw values: ints over Z, coefficient sequences over GF(q)[t].
+
+    GF(q)[t] results are trimmed lists; zero is falsy in both rings.
+    """
+
+    zero: object
+    add: object
+    mul: object
+    pow: object
+    divmod: object
+    from_int: object
+
+
+@functools.lru_cache(maxsize=None)
+def raw_ops(kind, q):
+    """The RawOps of Z (q None) or GF(q)[t], for kernels that wrap results once."""
+    if kind == "Z":
+        return RawOps(0, operator.add, operator.mul, pow, divmod, int)
+    F = _coeff_field(q)
+    mul = functools.partial(_poly_mul, F)
+    return RawOps(
+        (),
+        functools.partial(_poly_add, F),
+        mul,
+        lambda a, n: power(mul, [1], a, n),
+        functools.partial(_poly_divmod, F),
+        lambda n: _trim([F.from_int(n)]),
+    )
+
+
 # ---------------------------------------------------------------------------
 # domain tags and elements
 # ---------------------------------------------------------------------------
@@ -276,7 +320,7 @@ class DomainElement:
     # -- predicates -------------------------------------------------------
 
     def is_zero(self):
-        return self.value == 0 if self.domain.kind == "Z" else not self.value
+        return not self.value
 
     def __bool__(self):
         return not self.is_zero()
@@ -285,11 +329,6 @@ class DomainElement:
         if self.domain.kind == "Z":
             return self.value == 1
         return self.value == (1,)
-
-    def is_unit(self):
-        if self.domain.kind == "Z":
-            return self.value in (1, -1)
-        return len(self.value) == 1
 
     def degree(self):
         """Degree in t; -1 for the zero polynomial (GF domains only)."""
@@ -328,24 +367,15 @@ class DomainElement:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power in a ring")
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return one(self.domain) if result is None else result
+        if n == 0:
+            return one(self.domain)
+        return power(DomainElement.__mul__, None, self, n)
 
     def divmod(self, other):
         self._check(other)
         if other.is_zero():
             raise DivisibilityError("division by zero")
-        if self.domain.kind == "Z":
-            q, r = divmod(self.value, other.value)
-            return DomainElement(self.domain, q), DomainElement(self.domain, r)
-        quo, rem = _poly_divmod(self.domain.coeff_field, self.value, other.value)
+        quo, rem = raw_ops(self.domain.kind, self.domain.q).divmod(self.value, other.value)
         return DomainElement(self.domain, quo), DomainElement(self.domain, rem)
 
     def exact_div(self, other):

@@ -255,20 +255,6 @@ def enumerate_roots(p, window, injective=False):
     return RootHypergraph(window, found, edges, injective)
 
 
-def enumerate_roots_naive(p, window, injective=False):
-    """Reference product scan; oracle for enumerate_roots."""
-    n = p.nvars
-    elems = window.elements
-    found = []
-    for combo in itertools.product(range(len(elems)), repeat=n):
-        if injective and len(set(combo)) != n:
-            continue
-        if eval_ring(p, tuple(elems[i] for i in combo)).is_zero():
-            found.append(combo)
-    edges = sorted({tuple(sorted(set(tup))) for tup in found})
-    return RootHypergraph(window, found, edges, injective)
-
-
 def _minimal_edges(edges):
     """Drop edges containing another edge, and repeats; order is kept.
 
@@ -370,34 +356,16 @@ def check_window_l_pr(p, window, colors, injective=False):
     edges = _minimal_edges(hypergraph.edges)
     constant_root = next((e[0] for e in edges if len(e) == 1), None)
     coloring = _least_valid_coloring(len(window), edges, colors)
-    scheme = enumeration_scheme_id(window.domain)
-    if coloring is None:
-        return WindowCertificate(
-            kind="PartitionCertified",
-            window=window,
-            colors=colors,
-            injective=injective,
-            constant_root=constant_root,
-            scheme=scheme,
-        )
+    # a one-element edge leaves no valid coloring, so at most one of these is set
     return WindowCertificate(
-        kind="PartitionColorable",
+        kind="PartitionCertified" if coloring is None else "PartitionColorable",
         window=window,
         colors=colors,
         injective=injective,
         coloring=coloring,
-        scheme=scheme,
+        constant_root=constant_root,
+        scheme=enumeration_scheme_id(window.domain),
     )
-
-
-def exhaustive_l_pr_oracle(p, window, colors, injective=False):
-    """Independent oracle: try every coloring of the window."""
-    hypergraph = enumerate_roots_naive(p, window, injective)
-    edges = hypergraph.edges
-    for coloring in itertools.product(range(colors), repeat=len(window)):
-        if all(len({coloring[i] for i in e}) > 1 for e in edges):
-            return coloring  # a valid coloring: not certified
-    return None  # certified
 
 
 def semidecide_l_pr(p, colors, injective=False, budget=20):
@@ -490,28 +458,17 @@ def density_window_check(p, window, delta, mode="additive", injective=False):
         )
     hypergraph = enumerate_roots(p, window, injective)
     avoider = max_avoiding_subset(len(window), hypergraph.edges)
-    scheme = enumeration_scheme_id(window.domain)
-    if len(avoider) < delta * len(window):
-        return WindowCertificate(
-            kind="DensityCertified",
-            window=window,
-            delta=delta,
-            mode=mode,
-            injective=injective,
-            max_avoider_size=len(avoider),
-            transferable=transferable,
-            scheme=scheme,
-        )
+    certified = len(avoider) < delta * len(window)
     return WindowCertificate(
-        kind="DensityAvoider",
+        kind="DensityCertified" if certified else "DensityAvoider",
         window=window,
         delta=delta,
         mode=mode,
         injective=injective,
-        avoider=avoider,
+        avoider=None if certified else avoider,
         max_avoider_size=len(avoider),
         transferable=transferable,
-        scheme=scheme,
+        scheme=enumeration_scheme_id(window.domain),
     )
 
 

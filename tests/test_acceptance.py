@@ -10,6 +10,7 @@ import itertools
 import random
 import time
 
+from oracles import enumerate_roots_naive
 from partreg.certs import (
     from_window_certificate,
     make_certificate,
@@ -38,7 +39,6 @@ from partreg.windows import (
     Window,
     check_window_l_pr,
     density_window_check,
-    enumerate_roots_naive,
     semidecide_l_pr,
 )
 

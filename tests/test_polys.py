@@ -197,6 +197,86 @@ def test_translation_invariance_matches_sampled_shifts():
                 assert not verdict
 
 
+def shifted_by_expansion(p):
+    """Oracle: expand p(x1+r, ..., xn+r) in n+1 variables and compare with p."""
+    n = p.nvars
+    r = MultiPoly.variable(p.domain, n + 1, n)
+    shifted = [MultiPoly.variable(p.domain, n + 1, i) + r for i in range(n)]
+    return p.compose(shifted) == p.lift(n + 1)
+
+
+@pytest.mark.parametrize(
+    "domain,text,invariant",
+    [
+        # D^(1) alone would wrongly accept x^2 and x^4 over GF(2)[t], x^3 over GF(3)[t]
+        (GF2, "x^2", False),
+        (GF2, "x^2 + y^2", True),
+        (GF2, "x^4 + y^4", True),
+        (GF2, "x^4", False),  # D^(1) and D^(2) vanish; only D^(4) does not
+        (GF3, "x^3 - y^3", True),
+        (GF3, "x^3", False),
+        (GF2, "(x + y)^2 + x*y", False),
+        (INTEGERS, "x^2", False),
+        (INTEGERS, "(x - y)^3 + 5", True),
+    ],
+)
+def test_translation_invariance_in_characteristic_p(domain, text, invariant):
+    p = pp(domain, text)
+    assert is_translation_invariant(p) == invariant
+    assert shifted_by_expansion(p) == invariant
+
+
+@pytest.mark.parametrize("domain", [INTEGERS, GF2, GF3, GF4])
+def test_translation_invariance_matches_expansion_oracle(domain):
+    from partreg.reductions import diffquotient4_homogenize
+
+    rng = random.Random(16)
+    for _ in range(60):
+        p = random_poly(domain, rng.randrange(1, 4), rng, max_deg=4)
+        assert is_translation_invariant(p) == shifted_by_expansion(p)
+    for _ in range(6):
+        # dq4 outputs are invariant; changing one nonconstant coefficient breaks it
+        out = diffquotient4_homogenize(random_poly(domain, rng.randrange(1, 3), rng, max_deg=2))
+        assert is_translation_invariant(out) and shifted_by_expansion(out)
+        exps = rng.choice(sorted(out.terms)) if rng.random() < 0.5 else None
+        while not exps or not any(exps):
+            exps = tuple(rng.randrange(3) for _ in range(out.nvars))
+        bump = MultiPoly(domain, out.nvars, {exps: enum_element(domain, rng.randrange(1, 9))})
+        perturbed = out + bump
+        assert not is_translation_invariant(perturbed)
+        assert not shifted_by_expansion(perturbed)
+
+
+def element_fold(p, point):
+    """eval_ring's value, folded on DomainElements by repeated multiplication."""
+    total = from_int(p.domain, 0)
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for x, e in zip(point, exps):
+            for _ in range(e):
+                term = term * x
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("domain", [INTEGERS, GF2, GF3, GF4])
+def test_eval_ring_matches_element_fold(domain):
+    rng = random.Random(18)
+    for _ in range(80):
+        nvars = rng.randrange(1, 4)
+        p = random_poly(domain, nvars, rng, max_terms=6, max_deg=4, coeff_pool=200)
+        point = tuple(enum_element(domain, rng.randrange(300)) for _ in range(nvars))
+        assert eval_ring(p, point) == element_fold(p, point)
+    assert eval_ring(MultiPoly.zero(domain, 2), (from_int(domain, 1),) * 2).is_zero()
+
+
+def test_eval_ring_rejects_a_point_from_another_domain():
+    with pytest.raises(TypeError):
+        eval_ring(pp(GF2, "x + y"), (from_int(GF2, 1), from_int(GF3, 1)))
+    with pytest.raises(TypeError):
+        eval_ring(pp(INTEGERS, "x"), (from_int(GF3, 1),))
+
+
 # ---------------------------------------------------------------------------
 # rootless quadratics and system combination
 # ---------------------------------------------------------------------------

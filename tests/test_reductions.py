@@ -254,6 +254,15 @@ def test_identity_check_rejects_perturbed_output(transform, monkeypatch):
         monkeypatch.setattr(reductions, builder, honest)
 
 
+def test_identity_check_needs_a_checked_point():
+    # a zero block denominator vanishes at every sample, so nothing is checked
+    p = pp(INTEGERS, "x", var_order=["x"])
+    x = MultiPoly.variable(INTEGERS, 1, 0)
+    rng = random.Random(0)
+    assert reductions._identity_sampled(p, p, [(x, None)], rng)
+    assert not reductions._identity_sampled(p, p, [(x, MultiPoly.zero(INTEGERS, 1))], rng)
+
+
 def test_apply_transform_unknown():
     with pytest.raises(ValueError):
         apply_transform(pp(INTEGERS, "x", var_order=["x"]), "fold")

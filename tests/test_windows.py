@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import enumerate_roots_naive, exhaustive_l_pr_oracle
 from partreg.polys import MultiPoly, parse_poly
 from partreg.rings import (
     INTEGERS,
@@ -18,8 +19,6 @@ from partreg.windows import (
     density_window_check,
     disjoint_solutions,
     enumerate_roots,
-    enumerate_roots_naive,
-    exhaustive_l_pr_oracle,
     max_avoiding_subset,
     semidecide_l_pr,
 )
