@@ -155,7 +155,7 @@ def _cmd_roots(args):
         command=args.argv, poly=p, var_names=names, window=window, injective=args.injective
     )
     start = time.monotonic()
-    if args.disjoint:
+    if args.disjoint is not None:
         solutions = windows.disjoint_solutions(p, window, args.disjoint, args.injective)
         elapsed = int((time.monotonic() - start) * 1000)
         if solutions is None:

@@ -207,7 +207,7 @@ def eval_ring(p, point):
         if not isinstance(x, DomainElement) or (x.domain is not domain and x.domain != domain):
             raise TypeError("mixed-domain arithmetic")
         values.append(x.value)
-    ops = rings.raw_ops(domain.kind, domain.q)
+    ops = domain.ops
     total = ops.zero
     powers = {}
     for exps, coeff in p.terms.items():
@@ -254,7 +254,7 @@ def is_translation_invariant(p):
     """
     if p.nvars == 0 or p.is_zero():
         return True
-    ops = rings.raw_ops(p.domain.kind, p.domain.q)
+    ops = p.domain.ops
     degree = p.degree()
     k = 1
     while k <= degree:
@@ -268,9 +268,9 @@ def is_translation_invariant(p):
                     derivative[lowered] = term if acc is None else ops.add(acc, term)
         if any(derivative.values()):
             return False
-        if p.domain.kind == "Z":
+        if not ops.characteristic:
             break
-        k *= p.domain.coeff_field.p
+        k *= ops.characteristic
     return True
 
 
@@ -300,10 +300,10 @@ def rootless_quadratic(domain):
     degree parity).  Over GF(2^l)(t): w^2 + w + t (an Artin-Schreier
     polynomial with no rational root, again by degree parity).
     """
-    if domain.kind == "Z":
-        return from_int(domain, 1), from_int(domain, 0)
-    p, _ = rings._factor_prime_power(domain.q)
-    if p == 2:
+    characteristic = domain.ops.characteristic
+    if not characteristic:
+        return one(domain), zero(domain)
+    if characteristic == 2:
         return t_element(domain), one(domain)
     return -t_element(domain), zero(domain)
 

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .polys import MultiPoly, eval_ring, is_homogeneous, is_translation_invariant
-from .rings import DomainElement, nonzero_prefix, raw_ops
+from .rings import DomainElement, nonzero_prefix
 
 TRANSFORM_IDS = ("shift", "q3", "dq4", "gate:mul", "gate:add")
 
@@ -167,7 +167,7 @@ def _identity_sampled(p, out, blocks, rng, samples=25):
     """
     degree = p.degree()
     pool = nonzero_prefix(p.domain, 40)
-    ops = raw_ops(p.domain.kind, p.domain.q)
+    ops = p.domain.ops
     checked = 0
     for _ in range(samples):
         z = tuple(rng.choice(pool) for _ in range(out.nvars))

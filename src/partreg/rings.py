@@ -5,6 +5,11 @@ precision) and the univariate polynomial ring GF(q)[t] for a prime power q.
 Fractions over either domain normalize via gcd, so the fraction field
 (Q or GF(q)(t)) has syntactic equality.
 
+Each domain has one arithmetic path: the RawOps table that raw_ops builds and
+every DomainTag carries as `ops`.  DomainElement, fraction normalization and
+the raw-value kernels (polynomial evaluation, translation invariance, root
+tables) all go through it.
+
 Elements of GF(q)[t] are stored as little-endian coefficient tuples with no
 trailing zeros; the empty tuple is zero.  Coefficients are integer codes in
 [0, q): the residue itself for prime q, and the base-p digit vector of a
@@ -18,7 +23,7 @@ import functools
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from sympy import isprime
@@ -175,21 +180,11 @@ class _ExtensionField:
         self.sub = memo(lambda a, b: enum_index(residue(a) - residue(b)))
         self.mul = memo(lambda a, b: enum_index((residue(a) * residue(b)).divmod(modulus)[1]))
         self.inv = memo(self._inv)
-        self._base = base
 
     def _inv(self, a):
-        # extended Euclid in GF(p)[u]: s * a = r (mod modulus) holds for both rows
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(q)")
-        F = self._base.coeff_field
-        r0, r1 = list(self.modulus), list(enum_element(self._base, a).value)
-        s0, s1 = [], [1]
-        while r1:
-            quo, rem = _poly_divmod(F, r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_add(F, s0, _poly_neg(F, _poly_mul(F, quo, s1)))
-        # the modulus is irreducible, so the last nonzero remainder is a constant
-        return enum_index(DomainElement(self._base, tuple(s0)).scale(F.inv(r0[0])))
+        return power(self.mul, 1, a, self.q - 2)  # a^(q-1) = 1 for a != 0
 
     def from_int(self, n):
         return n % self.p
@@ -214,33 +209,63 @@ def power(mul, one, a, n):
 
 
 class RawOps(NamedTuple):
-    """Ring ops on raw values: ints over Z, coefficient sequences over GF(q)[t].
+    """The ring interface of one domain, on raw values: ints over Z, and over
+    GF(q)[t] little-endian coefficient sequences with no trailing zeros.
 
-    GF(q)[t] results are trimmed lists; zero is falsy in both rings.
+    GF(q)[t] ops take lists or tuples and return either; zero, one, gcd and
+    unit give tuples, so they compare equal to stored element values.  Zero is
+    falsy in both rings.  gcd is normalized (nonnegative over Z, monic over
+    GF(q)[t]), and unit(a) is the unit u that normalizes a * u (one at 0).
     """
 
     zero: object
+    one: object
     add: object
+    neg: object
     mul: object
     pow: object
     divmod: object
+    gcd: object
+    unit: object
     from_int: object
+    characteristic: int
+
+
+def _int_unit(a):
+    return -1 if a < 0 else 1
+
+
+def _poly_unit(F, a):
+    return (F.inv(a[-1]),) if a else (1,)
+
+
+def _poly_gcd(F, a, b):
+    while b:
+        a, b = b, _poly_divmod(F, a, b)[1]
+    return tuple(_poly_mul(F, a, _poly_unit(F, a)))
 
 
 @functools.lru_cache(maxsize=None)
 def raw_ops(kind, q):
-    """The RawOps of Z (q None) or GF(q)[t], for kernels that wrap results once."""
+    """The RawOps of Z (q None) or GF(q)[t]; only here does arithmetic depend on kind."""
     if kind == "Z":
-        return RawOps(0, operator.add, operator.mul, pow, divmod, int)
+        return RawOps(
+            0, 1, operator.add, operator.neg, operator.mul, pow, divmod, math.gcd, _int_unit, int, 0
+        )
     F = _coeff_field(q)
     mul = functools.partial(_poly_mul, F)
     return RawOps(
         (),
+        (1,),
         functools.partial(_poly_add, F),
+        functools.partial(_poly_neg, F),
         mul,
-        lambda a, n: power(mul, [1], a, n),
+        lambda a, n: power(mul, (1,), a, n),
         functools.partial(_poly_divmod, F),
+        functools.partial(_poly_gcd, F),
+        functools.partial(_poly_unit, F),
         lambda n: _trim([F.from_int(n)]),
+        F.p,
     )
 
 
@@ -255,15 +280,18 @@ class DomainTag:
 
     kind: str  # "Z" or "GFqt"
     q: int | None = None
+    ops: RawOps = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind == "Z":
-            if self.q is not None:
-                raise ValueError("Z carries no field size")
-        elif self.kind == "GFqt":
-            _factor_prime_power(self.q)  # validates q
-        else:
+        if self.kind not in ("Z", "GFqt"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
+        if self.kind == "Z" and self.q is not None:
+            raise ValueError("Z carries no field size")
+        object.__setattr__(self, "ops", raw_ops(self.kind, self.q))  # validates q
+
+    def __reduce__(self):
+        # ops holds closures; a copy or unpickled tag looks its table up again
+        return DomainTag, (self.kind, self.q)
 
     @property
     def coeff_field(self):
@@ -326,9 +354,7 @@ class DomainElement:
         return not self.is_zero()
 
     def is_one(self):
-        if self.domain.kind == "Z":
-            return self.value == 1
-        return self.value == (1,)
+        return self.value == self.domain.ops.one
 
     def degree(self):
         """Degree in t; -1 for the zero polynomial (GF domains only)."""
@@ -344,38 +370,30 @@ class DomainElement:
 
     def __add__(self, other):
         self._check(other)
-        if self.domain.kind == "Z":
-            return DomainElement(self.domain, self.value + other.value)
-        F = self.domain.coeff_field
-        return DomainElement(self.domain, _poly_add(F, self.value, other.value))
+        return DomainElement(self.domain, self.domain.ops.add(self.value, other.value))
 
     def __neg__(self):
-        if self.domain.kind == "Z":
-            return DomainElement(self.domain, -self.value)
-        return DomainElement(self.domain, _poly_neg(self.domain.coeff_field, self.value))
+        return DomainElement(self.domain, self.domain.ops.neg(self.value))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        if self.domain.kind == "Z":
-            return DomainElement(self.domain, self.value * other.value)
-        F = self.domain.coeff_field
-        return DomainElement(self.domain, _poly_mul(F, self.value, other.value))
+        return DomainElement(self.domain, self.domain.ops.mul(self.value, other.value))
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power in a ring")
-        if n == 0:
-            return one(self.domain)
-        return power(DomainElement.__mul__, None, self, n)
+        if n == 1:
+            return self
+        return DomainElement(self.domain, self.domain.ops.pow(self.value, n))
 
     def divmod(self, other):
         self._check(other)
         if other.is_zero():
             raise DivisibilityError("division by zero")
-        quo, rem = raw_ops(self.domain.kind, self.domain.q).divmod(self.value, other.value)
+        quo, rem = self.domain.ops.divmod(self.value, other.value)
         return DomainElement(self.domain, quo), DomainElement(self.domain, rem)
 
     def exact_div(self, other):
@@ -390,38 +408,21 @@ class DomainElement:
             return other.is_zero()
         return other.divmod(self)[1].is_zero()
 
-    def scale(self, code):
-        """Multiply every coefficient by a GF(q) code (GF domains only)."""
-        F = self.domain.coeff_field
-        return DomainElement(self.domain, tuple(_trim([F.mul(c, code) for c in self.value])))
-
-    def monic(self):
-        """Normalize the leading unit: |x| over Z, monic over GF(q)[t]."""
-        if self.is_zero():
-            return self
-        if self.domain.kind == "Z":
-            return DomainElement(self.domain, abs(self.value))
-        F = self.domain.coeff_field
-        return self.scale(F.inv(self.value[-1]))
-
     def __str__(self):
         return format_element(self)
 
 
 def zero(domain):
-    return DomainElement(domain, 0 if domain.kind == "Z" else ())
+    return DomainElement(domain, domain.ops.zero)
 
 
 def one(domain):
-    return DomainElement(domain, 1 if domain.kind == "Z" else (1,))
+    return DomainElement(domain, domain.ops.one)
 
 
 def from_int(domain, n):
     """The image of the integer n under the unique ring map Z -> R."""
-    if domain.kind == "Z":
-        return DomainElement(domain, n)
-    c = domain.coeff_field.from_int(n)
-    return DomainElement(domain, (c,) if c else ())
+    return DomainElement(domain, domain.ops.from_int(n))
 
 
 def t_element(domain):
@@ -445,11 +446,7 @@ def arith(domain, op, a, b):
 
 def gcd(a, b):
     """Euclidean gcd, normalized (nonnegative over Z, monic over GF(q)[t])."""
-    if a.domain.kind == "Z":
-        return DomainElement(a.domain, math.gcd(a.value, b.value))
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
+    return DomainElement(a.domain, a.domain.ops.gcd(a.value, b.value))
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +459,6 @@ def enum_element(domain, index):
     if index < 0:
         raise ValueError("index must be nonnegative")
     if domain.kind == "Z":
-        if index == 0:
-            return zero(domain)
         if index % 2:
             return DomainElement(domain, (index + 1) // 2)
         return DomainElement(domain, -(index // 2))
@@ -563,20 +558,17 @@ def frac_normalize(domain, num, den):
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
         return FieldElement(zero(domain), one(domain))
-    g = gcd(num, den)
-    if not g.is_one():
-        num = num.exact_div(g)
-        den = den.exact_div(g)
-    if domain.kind == "Z":
-        if den.value < 0:
-            num, den = -num, -den
-    else:
-        lead = den.value[-1]
-        if lead != 1:
-            inv = domain.coeff_field.inv(lead)
-            num = num.scale(inv)
-            den = den.scale(inv)
-    return FieldElement(num, den)
+    ops = domain.ops
+    n, d = num.value, den.value
+    g = ops.gcd(n, d)
+    if g != ops.one:
+        n = ops.divmod(n, g)[0]
+        d = ops.divmod(d, g)[0]
+    unit = ops.unit(d)
+    if unit != ops.one:
+        n = ops.mul(n, unit)
+        d = ops.mul(d, unit)
+    return FieldElement(DomainElement(domain, n), DomainElement(domain, d))
 
 
 def field_zero(domain):

@@ -48,6 +48,8 @@ class Window:
 
     @classmethod
     def enumeration_prefix(cls, domain, k):
+        if k < 1:
+            raise ValueError("a prefix window needs k >= 1")
         return cls(domain, tuple(nonzero_prefix(domain, k)), f"prefix:{k}")
 
     @classmethod
@@ -144,7 +146,7 @@ def _separable_roots(f, h, window, injective):
     table = {}
     for i, x in enumerate(elems):
         table.setdefault(eval_ring(h, (x,)).value, []).append(i)
-    zero_key = rings.zero(f.domain).value
+    zero_key = f.domain.ops.zero
     last = f.nvars
     found = []
 

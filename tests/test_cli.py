@@ -252,6 +252,15 @@ def test_bad_input_is_exit_1(capsys):
     assert "error:" in err
     code2, _, _ = run(capsys, "search", "--poly", "x+y-z", "--colors", "0", "--budget", "3")
     assert code2 == EXIT_ERROR
+    # a zero count and an empty prefix window once gave a definitive answer
+    for argv in (
+        ["roots", "--poly", "x+y-z", "--window", "1..6", "--disjoint", "0"],
+        ["window", "--poly", "x+y-z", "--colors", "2", "--window", "prefix:0"],
+        ["window", "--poly", "x+y-z", "--colors", "2", "--window", "prefix:-3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_ERROR, ""), argv
+        assert "error:" in err
 
 
 def test_unknown_subcommand_is_exit_1(capsys):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from partreg import rings
 from partreg.rings import (
     INTEGERS,
     DivisibilityError,
+    DomainTag,
     DomainElement,
     ParseError,
     arith,
@@ -14,6 +17,7 @@ from partreg.rings import (
     enum_index,
     frac_normalize,
     from_int,
+    gcd,
     gf_poly_domain,
     one,
     ord_at,
@@ -26,6 +30,7 @@ from partreg.rings import (
 GF2 = gf_poly_domain(2)
 GF3 = gf_poly_domain(3)
 GF4 = gf_poly_domain(4)
+GF9 = gf_poly_domain(9)
 
 
 def zint(n):
@@ -156,6 +161,46 @@ def test_extension_field_structure(q):
             assert x * DomainElement(x.domain, (F.inv(a),)) == one(x.domain)
 
 
+def _size(x):
+    # the Euclidean size: |x| over Z, the length of the coefficient tuple over GF(q)[t]
+    return abs(x.value) if x.domain == INTEGERS else len(x.value)
+
+
+@pytest.mark.parametrize("domain", [INTEGERS, GF2, GF3, GF4, GF9])
+def test_power_divmod_and_gcd(domain):
+    rng = random.Random(17)
+    for _ in range(150):
+        a = enum_element(domain, rng.randrange(400))
+        b = enum_element(domain, rng.randrange(1, 400))
+        product = one(domain)
+        for n in range(6):
+            assert a**n == product
+            product = product * a
+        assert a**1 is a
+        with pytest.raises(ValueError):
+            a**-1
+        q, r = a.divmod(b)
+        assert q * b + r == a
+        assert _size(r) < _size(b)
+        g = gcd(a, b)
+        assert g.divides(a) and g.divides(b)
+        assert (g.value > 0) if domain == INTEGERS else (g.value[-1] == 1)
+        assert gcd(a.exact_div(g), b.exact_div(g)).is_one()
+    assert gcd(zero(domain), zero(domain)) == zero(domain)
+
+
+def test_ops_table_stays_out_of_tag_identity():
+    tag = DomainTag("GFqt", 4)
+    assert gf_poly_domain(4) == tag
+    assert hash(gf_poly_domain(4)) == hash(tag)
+    assert repr(tag) == "DomainTag(kind='GFqt', q=4)"
+    assert repr(INTEGERS) == "DomainTag(kind='Z', q=None)"
+    assert (str(tag), str(INTEGERS)) == ("GF(4)[t]", "Z")
+    assert gf_poly_domain(4).ops is tag.ops
+    for twin in (pickle.loads(pickle.dumps(tag)), copy.deepcopy(tag)):
+        assert twin == tag and twin.ops is tag.ops
+
+
 def test_large_extension_field_inverse():
     F = gf_poly_domain(2**16).coeff_field
     rng = random.Random(13)
@@ -182,7 +227,7 @@ def test_frac_examples():
         frac_normalize(INTEGERS, zint(1), zint(0))
 
 
-@pytest.mark.parametrize("domain", [INTEGERS, GF3, GF2])
+@pytest.mark.parametrize("domain", [INTEGERS, GF3, GF2, GF4, GF9])
 def test_frac_idempotent_and_field_laws(domain):
     rng = random.Random(3)
     for _ in range(200):
