@@ -148,20 +148,15 @@ class MultiPoly:
 
     def substitute_first(self, value):
         """Plug a ring element into variable 0, dropping one variable."""
-        terms = {}
-        power_cache = {}
-        for exps, c in self.terms.items():
-            e0 = exps[0]
-            if e0:
-                if e0 not in power_cache:
-                    power_cache[e0] = value**e0
-                c = c * power_cache[e0]
-                if c.is_zero():
-                    continue
-            rest = exps[1:]
-            acc = terms.get(rest)
-            terms[rest] = c if acc is None else acc + c
-        return MultiPoly(self.domain, self.nvars - 1, terms)
+        domain = self.domain
+        if not isinstance(value, DomainElement) or value.domain != domain:
+            raise TypeError("mixed-domain arithmetic")
+        ops = domain.ops
+        raw = substitute_first_raw(
+            ops, {e: c.value for e, c in self.terms.items()}, RawPowers(ops.pow, value.value)
+        )
+        terms = {e: DomainElement(domain, c) for e, c in raw.items()}
+        return MultiPoly(domain, self.nvars - 1, terms)
 
     def lift(self, nvars):
         """Reinterpret in a larger ring; new trailing variables are unused."""
@@ -220,6 +215,54 @@ def eval_ring(p, point):
                 term = ops.mul(term, power)
         total = ops.add(total, term)
     return DomainElement(domain, total)
+
+
+class RawPowers(dict):
+    """exponent -> value**exponent on raw values, each power computed on first use.
+
+    Only the exponents asked for are ever computed, so x^1000000 costs one
+    ops.pow, not a table up to the exponent.
+    """
+
+    __slots__ = ("pow", "value")
+
+    def __init__(self, pow, value):
+        super().__init__()
+        self.pow = pow
+        self.value = value
+
+    def __missing__(self, e):
+        power = self[e] = self.pow(self.value, e)
+        return power
+
+
+def substitute_first_raw(ops, terms, powers):
+    """Raw terms (exponent tuple -> nonzero raw coefficient) with variable 0
+    replaced by the value whose RawPowers are `powers`.
+
+    The result maps the remaining exponents to nonzero raw coefficients: a
+    coefficient sum that cancels to zero is dropped, as MultiPoly drops zero
+    coefficients, so an empty result is the zero polynomial.
+    """
+    add, mul = ops.add, ops.mul
+    out = {}
+    for exps, c in terms.items():
+        e0 = exps[0]
+        if e0:
+            c = mul(c, powers[e0])
+            if not c:
+                continue  # only when the value is 0
+        rest = exps[1:]
+        acc = out.get(rest)
+        if acc is None:
+            out[rest] = c
+        else:
+            acc = add(acc, c)
+            if acc:
+                out[rest] = acc
+            else:
+                del out[rest]
+    return out
 
 
 # ---------------------------------------------------------------------------

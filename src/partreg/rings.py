@@ -213,7 +213,8 @@ class RawOps(NamedTuple):
     GF(q)[t] little-endian coefficient sequences with no trailing zeros.
 
     GF(q)[t] ops take lists or tuples and return either; zero, one, gcd and
-    unit give tuples, so they compare equal to stored element values.  Zero is
+    unit give tuples, so they compare equal to stored element values, and
+    freeze turns any raw value into that stored, hashable form.  Zero is
     falsy in both rings.  gcd is normalized (nonnegative over Z, monic over
     GF(q)[t]), and unit(a) is the unit u that normalizes a * u (one at 0).
     """
@@ -228,6 +229,7 @@ class RawOps(NamedTuple):
     gcd: object
     unit: object
     from_int: object
+    freeze: object
     characteristic: int
 
 
@@ -250,7 +252,18 @@ def raw_ops(kind, q):
     """The RawOps of Z (q None) or GF(q)[t]; only here does arithmetic depend on kind."""
     if kind == "Z":
         return RawOps(
-            0, 1, operator.add, operator.neg, operator.mul, pow, divmod, math.gcd, _int_unit, int, 0
+            0,
+            1,
+            operator.add,
+            operator.neg,
+            operator.mul,
+            pow,
+            divmod,
+            math.gcd,
+            _int_unit,
+            int,
+            int,
+            0,
         )
     F = _coeff_field(q)
     mul = functools.partial(_poly_mul, F)
@@ -265,6 +278,7 @@ def raw_ops(kind, q):
         functools.partial(_poly_gcd, F),
         functools.partial(_poly_unit, F),
         lambda n: _trim([F.from_int(n)]),
+        tuple,
         F.p,
     )
 
@@ -554,6 +568,9 @@ class FieldElement:
 
 def frac_normalize(domain, num, den):
     """Canonical reduced fraction: gcd a unit, den > 0 over Z / monic over GF."""
+    for x in (num, den):
+        if x.domain is not domain and x.domain != domain:
+            raise TypeError("mixed-domain arithmetic")
     if den.is_zero():
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():

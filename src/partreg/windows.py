@@ -18,8 +18,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import __version__, rings
-from .polys import MultiPoly, eval_ring, is_homogeneous, is_translation_invariant
+from . import __version__
+from .polys import RawPowers, is_homogeneous, is_translation_invariant, substitute_first_raw
 from .rings import DomainTag, enumeration_scheme_id, from_int, nonzero_prefix
 
 TOOL_VERSION = __version__
@@ -117,7 +117,7 @@ class SemidecideResult:
 
 
 def _split_last_variable(p):
-    """(f, h) with p = f(x1..x(n-1)) + h(xn), or None when p does not separate.
+    """Raw terms (f, h) with p = f(x1..x(n-1)) + h(xn), or None when p does not separate.
 
     p separates when xn occurs and no term mixes it with another variable;
     the constant term goes to f.
@@ -125,115 +125,131 @@ def _split_last_variable(p):
     f_terms, h_terms = {}, {}
     for exps, coeff in p.terms.items():
         if not exps[-1]:
-            f_terms[exps[:-1]] = coeff
+            f_terms[exps[:-1]] = coeff.value
         elif any(exps[:-1]):
             return None
         else:
-            h_terms[exps[-1:]] = coeff
+            h_terms[exps[-1:]] = coeff.value
     if not h_terms:
         return None
-    return MultiPoly(p.domain, p.nvars - 1, f_terms), MultiPoly(p.domain, 1, h_terms)
+    return f_terms, h_terms
 
 
-def _separable_roots(f, h, window, injective):
-    """Roots of f(x1..x(n-1)) + h(xn): one value -> positions table of h.
+class _RawWindow:
+    """A window's element values, with the powers of each computed on first use.
 
-    Each full prefix of f's variables leaves a constant c, and the roots
-    through it are the positions where h takes -c.  f's own constants say
-    nothing before h is added, so the descent never prunes.
+    Each element keeps only the powers whose exponents the descent asks for
+    (RawPowers), and an exponent's column over the whole window is built once
+    from them.
     """
-    elems = window.elements
-    table = {}
-    for i, x in enumerate(elems):
-        table.setdefault(eval_ring(h, (x,)).value, []).append(i)
-    zero_key = f.domain.ops.zero
-    last = f.nvars
+
+    def __init__(self, ops, window):
+        self.ops = ops
+        self.values = [x.value for x in window.elements]
+        self.powers = [RawPowers(ops.pow, v) for v in self.values]
+        self.columns = {}
+
+    def at_each(self, terms):
+        """Raw values of univariate raw terms at every element, in window order."""
+        add, mul = self.ops.add, self.ops.mul
+        total = None
+        for (e,), c in terms.items():
+            if e:
+                column = self.columns.get(e)
+                if column is None:
+                    column = self.columns[e] = [powers[e] for powers in self.powers]
+                part = map(mul, itertools.repeat(c), column)
+            else:
+                part = itertools.repeat(c, len(self.values))
+            total = list(part) if total is None else list(map(add, total, part))
+        return [self.ops.zero] * len(self.values) if total is None else total
+
+
+def _separable_roots(f, h, last, raw, injective):
+    """Roots of f(x1..x(n-1)) + h(xn) on raw values: one value -> positions table of h.
+
+    f (over `last` variables) and h are raw terms.  The descent substitutes
+    raw values into f's first last-1 variables, folds f's last variable to
+    one constant c per element, and the roots through it are the positions
+    where h takes -c.  f's own constants say nothing before h is added, so
+    the descent never prunes.
+    """
+    ops = raw.ops
+    freeze = ops.freeze
+    table = {}  # -h(x) -> ascending positions of x
+    for i, v in enumerate(raw.at_each(h)):
+        table.setdefault(freeze(ops.neg(v)), []).append(i)
+    if not last:
+        return [(i,) for i in table.get(freeze(f.get((), ops.zero)), ())]
     found = []
 
-    def descend(q, prefix):
-        if len(prefix) == last:
-            c = q.terms.get(())
-            for i in table.get(zero_key if c is None else (-c).value, ()):
+    def descend(terms, prefix):
+        if len(prefix) + 1 < last:
+            for i, powers in enumerate(raw.powers):
                 if not (injective and i in prefix):
-                    found.append(tuple(prefix + [i]))
+                    descend(substitute_first_raw(ops, terms, powers), prefix + (i,))
             return
-        for i in range(len(elems)):
-            if injective and i in prefix:
+        for j, positions in enumerate(map(table.get, map(freeze, raw.at_each(terms)))):
+            if positions is None or injective and j in prefix:
                 continue
-            descend(q.substitute_first(elems[i]), prefix + [i])
+            row = prefix + (j,)
+            for i in positions:
+                if not (injective and i in row):
+                    found.append(row + (i,))
 
-    descend(f, [])
+    descend(f, ())
     return found
 
 
-def _descended_roots(p, window, injective):
-    """Roots by partial substitution, pruning dead branches on the way."""
-    n = p.nvars
-    elems = window.elements
-    index_of = window.index_of()
+def _descended_roots(n, terms, raw, injective):
+    """Roots of raw terms in n variables by partial substitution on raw values,
+    pruning dead branches on the way."""
+    ops = raw.ops
+    size = len(raw.values)
+    position = {v: i for i, v in enumerate(raw.values)}
     found = []
 
-    def all_completions(prefix, depth):
-        pool = range(len(elems))
-        for rest in itertools.product(pool, repeat=n - depth):
-            full = prefix + list(rest)
-            if injective and len(set(full)) != n:
-                continue
-            found.append(tuple(full))
-
-    def last_variable(q, prefix):
-        # q has one variable left
-        degree = q.degree()
+    def last_variable(terms, prefix):
+        degree = max((e for (e,) in terms), default=0)
         if degree == 0:
-            if q.is_zero():
-                for i in range(len(elems)):
-                    if injective and i in prefix:
-                        continue
-                    found.append(tuple(prefix + [i]))
+            if not terms:
+                found.extend(prefix + (i,) for i in range(size) if not (injective and i in prefix))
             return
-        if degree == 1:
-            a = q.terms.get((1,))
-            b = q.terms.get((0,), rings.zero(p.domain))
-            root = rings.frac_normalize(p.domain, -b, a)
-            if root.is_ring_element():
-                i = index_of.get(root.as_ring_element())
-                if i is not None and not (injective and i in prefix):
-                    found.append(tuple(prefix + [i]))
+        if degree == 1:  # the root is -b/a, when a divides b
+            quo, rem = ops.divmod(ops.neg(terms.get((0,), ops.zero)), terms[(1,)])
+            i = None if rem else position.get(ops.freeze(quo))
+            if i is not None and not (injective and i in prefix):
+                found.append(prefix + (i,))
             return
-        for i in range(len(elems)):
-            if injective and i in prefix:
-                continue
-            if eval_ring(q, (elems[i],)).is_zero():
-                found.append(tuple(prefix + [i]))
+        for i, value in enumerate(raw.at_each(terms)):
+            if not value and not (injective and i in prefix):
+                found.append(prefix + (i,))
 
-    def descend(q, prefix):
-        depth = len(prefix)
-        remaining = n - depth
-        if remaining == 0:
-            if q.terms.get(()) is None:
-                found.append(tuple(prefix))
-            return
-        if q.is_zero() and not injective:
-            all_completions(prefix, depth)
+    def descend(terms, prefix):
+        remaining = n - len(prefix)
+        if not terms and not injective:
+            found.extend(prefix + rest for rest in itertools.product(range(size), repeat=remaining))
             return
         if remaining == 1:
-            last_variable(q, prefix)
+            last_variable(terms, prefix)
             return
-        if not q.is_zero() and all(sum(e) == 0 for e in q.terms):
+        if len(terms) == 1 and (0,) * remaining in terms:
             return  # nonzero constant: no completion can vanish
-        for i in range(len(elems)):
-            if injective and i in prefix:
-                continue
-            descend(q.substitute_first(elems[i]), prefix + [i])
+        for i, powers in enumerate(raw.powers):
+            if not (injective and i in prefix):
+                descend(substitute_first_raw(ops, terms, powers), prefix + (i,))
 
-    descend(p, [])
+    descend(terms, ())
     return found
 
 
 def enumerate_roots(p, window, injective=False):
     """Every tuple in window^nvars where p vanishes, as a hypergraph.
 
-    Three paths, all matching the naive full product scan exactly:
+    Both descents run on raw values (one substitute_first_raw kernel, each
+    element's powers computed once), never building a MultiPoly or a
+    DomainElement per node.  Three paths, all matching the naive full
+    product scan exactly:
 
     * separable hash: when p = f(x1..x(n-1)) + h(xn), h is evaluated once
       per window element into a value -> positions table, and each prefix
@@ -247,11 +263,13 @@ def enumerate_roots(p, window, injective=False):
         raise ValueError("polynomial and window domains differ")
     if p.nvars == 0:
         raise ValueError("cannot enumerate roots of a constant")
+    raw = _RawWindow(p.domain.ops, window)
     split = _split_last_variable(p)
     if split is None:
-        found = _descended_roots(p, window, injective)
+        terms = {e: c.value for e, c in p.terms.items()}
+        found = _descended_roots(p.nvars, terms, raw, injective)
     else:
-        found = _separable_roots(*split, window, injective)
+        found = _separable_roots(*split, p.nvars - 1, raw, injective)
     found.sort()
     edges = sorted({tuple(sorted(set(tup))) for tup in found})
     return RootHypergraph(window, found, edges, injective)

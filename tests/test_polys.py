@@ -277,6 +277,27 @@ def test_eval_ring_rejects_a_point_from_another_domain():
         eval_ring(pp(INTEGERS, "x"), (from_int(GF3, 1),))
 
 
+@pytest.mark.parametrize("domain", [INTEGERS, GF2, GF3, GF4])
+def test_substitute_first_agrees_with_eval_ring(domain):
+    rng = random.Random(19)
+    for _ in range(60):
+        nvars = rng.randrange(2, 4)
+        p = random_poly(domain, nvars, rng, max_terms=6, coeff_pool=50)
+        point = tuple(enum_element(domain, rng.randrange(40)) for _ in range(nvars))
+        q = p.substitute_first(point[0])
+        assert q.nvars == nvars - 1
+        assert all(not c.is_zero() for c in q.terms.values())
+        assert eval_ring(q, point[1:]) == eval_ring(p, point)
+
+
+def test_substitute_first_drops_cancelled_terms():
+    q = pp(INTEGERS, "x*y + y - 3").substitute_first(zint(-1))
+    assert q == MultiPoly.constant(INTEGERS, 1, -3)
+    assert pp(GF2, "x*y + y").substitute_first(from_int(GF2, 1)).is_zero()
+    with pytest.raises(TypeError):
+        pp(GF2, "x*y").substitute_first(from_int(GF3, 1))
+
+
 # ---------------------------------------------------------------------------
 # rootless quadratics and system combination
 # ---------------------------------------------------------------------------

@@ -252,6 +252,14 @@ def test_frac_idempotent_and_field_laws(domain):
         assert (a + b) + c == a + (b + c)
 
 
+@pytest.mark.parametrize("target", [GF3, INTEGERS])
+def test_frac_normalize_rejects_elements_of_another_domain(target):
+    a, b = parse_element(GF2, "t^2+1"), t_element(GF2)
+    for num, den in [(a, b), (a, one(target)), (one(target), b)]:
+        with pytest.raises(TypeError, match="mixed-domain arithmetic"):
+            frac_normalize(target, num, den)
+
+
 def test_gf_fraction_monic_denominator():
     f = frac_normalize(GF3, parse_element(GF3, "t"), parse_element(GF3, "2*t+1"))
     assert f.den.value[-1] == 1

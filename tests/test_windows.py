@@ -26,6 +26,7 @@ from partreg.windows import (
 GF2 = gf_poly_domain(2)
 GF3 = gf_poly_domain(3)
 GF4 = gf_poly_domain(4)
+GF9 = gf_poly_domain(9)
 
 
 def pp(domain, text, var_order=None):
@@ -131,7 +132,7 @@ def check_against_naive_oracle(domain, injective, draw, seed):
         assert fast.edges == slow.edges
 
 
-@pytest.mark.parametrize("domain", [INTEGERS, GF2, GF3])
+@pytest.mark.parametrize("domain", [INTEGERS, GF2, GF3, GF4, GF9])
 @pytest.mark.parametrize("injective", [False, True])
 def test_enumeration_matches_naive_oracle(domain, injective):
     check_against_naive_oracle(domain, injective, random_poly, 51)
@@ -141,6 +142,32 @@ def test_enumeration_matches_naive_oracle(domain, injective):
 @pytest.mark.parametrize("injective", [False, True])
 def test_separable_enumeration_matches_naive_oracle(domain, injective):
     check_against_naive_oracle(domain, injective, separable_poly, 53)
+
+
+@pytest.mark.parametrize("injective", [False, True])
+@pytest.mark.parametrize(
+    "domain, text, through_minus_one",
+    [
+        (INTEGERS, "x*y + y - z", (0, 0)),  # f is 0*y at x = -1 (separable path)
+        (INTEGERS, "x*z + z - 1", (0, 0)),  # the nonzero constant -1 prunes x = -1
+        (INTEGERS, "x*z + z", (25, 12)),  # 0 at x = -1: every completion is a root
+        (GF2, "x*z + z", (25, 12)),  # -1 = 1 over GF(2)[t]
+    ],
+)
+def test_cancelling_coefficients_match_naive_oracle(domain, text, through_minus_one, injective):
+    p = pp(domain, text, ["x", "y", "z"])
+    window = Window.enumeration_prefix(domain, 5)
+    fast = enumerate_roots(p, window, injective)
+    slow = enumerate_roots_naive(p, window, injective)
+    assert fast.tuples == slow.tuples
+    assert fast.edges == slow.edges
+    minus_one = window.index_of()[from_int(domain, -1)]
+    assert sum(t[0] == minus_one for t in fast.tuples) == through_minus_one[injective]
+
+
+def test_sparse_exponents_are_not_tabulated():
+    p = pp(INTEGERS, "x^1000000 + y^1000000 - z", ["x", "y", "z"])
+    assert enumerate_roots(p, Window.interval(INTEGERS, 1, 2)).tuples == [(0, 0, 1)]
 
 
 def test_separable_split():
