@@ -138,7 +138,10 @@ def dumps(doc):
 
 
 def loads(text):
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("certificate JSON nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

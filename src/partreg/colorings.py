@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import windows
-from .rings import DomainElement, ParseError, _multiplicity, is_irreducible, parse_element
+from .rings import DomainElement, ParseError, _multiplicity, is_irreducible, isprime, parse_element
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,6 @@ class ColoringSpec:
 
     def __post_init__(self):
         if self.family == "DigitBaseP":
-            from sympy import isprime
-
             if self.p is None or not isprime(self.p):
                 raise ValueError("DigitBaseP needs a prime base")
         elif self.family == "OrdMod":

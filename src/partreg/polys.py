@@ -399,6 +399,9 @@ def tokenize(text):
     return tokens
 
 
+_MAX_NESTING = 200  # each open parenthesis costs the parser four stack frames
+
+
 class _PolyParser:
     """The expression parser: named variables, t over GF(q)[t], integer literals.
 
@@ -411,6 +414,7 @@ class _PolyParser:
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0  # open parentheses; bounded so parsing never exhausts the stack
         self.fixed_order = var_order is not None
         self.var_order = list(var_order) if var_order else []
 
@@ -487,27 +491,36 @@ class _PolyParser:
 
     def atom(self):
         kind, val, pos = self.next()
+        negate = False
+        while kind == "op" and val == "-":  # a run of unary minuses, read in a loop
+            negate = not negate
+            kind, val, pos = self.next()
         n = len(self.var_order)
         if kind == "int":
             if self.domain.kind == "Z":
-                return MultiPoly.constant(self.domain, n, val)
-            code = val % self.domain.q
-            coeff = DomainElement(self.domain, (code,) if code else ())
-            return MultiPoly.constant(self.domain, n, coeff)
-        if kind == "name":
+                result = MultiPoly.constant(self.domain, n, val)
+            else:
+                code = val % self.domain.q
+                coeff = DomainElement(self.domain, (code,) if code else ())
+                result = MultiPoly.constant(self.domain, n, coeff)
+        elif kind == "name":
             if val == "t" and self.domain.kind == "GFqt":
-                return MultiPoly.constant(self.domain, n, t_element(self.domain))
-            idx = self.var_index(val, pos)
-            return MultiPoly.variable(self.domain, len(self.var_order), idx)
-        if kind == "op" and val == "(":
-            inner = self.expr()
+                result = MultiPoly.constant(self.domain, n, t_element(self.domain))
+            else:
+                idx = self.var_index(val, pos)
+                result = MultiPoly.variable(self.domain, len(self.var_order), idx)
+        elif kind == "op" and val == "(":
+            if self.depth == _MAX_NESTING:
+                raise ParseError("parentheses nested too deeply", self.text, pos)
+            self.depth += 1
+            result = self.expr()
+            self.depth -= 1
             kind, val, pos = self.next()
             if not (kind == "op" and val == ")"):
                 raise ParseError("expected ')'", self.text, pos)
-            return inner
-        if kind == "op" and val == "-":
-            return -self.atom()
-        raise ParseError("expected a term", self.text, pos)
+        else:
+            raise ParseError("expected a term", self.text, pos)
+        return -result if negate else result
 
 
 def parse_poly(domain, text, var_order=None):

@@ -15,6 +15,12 @@ trailing zeros; the empty tuple is zero.  Coefficients are integer codes in
 [0, q): the residue itself for prime q, and the base-p digit vector of a
 representative for q = p^e (the extension is built over a fixed lex-least
 irreducible modulus).
+
+Primality over Z (the prime of a valuation colouring, the base of a digit
+colouring, the characteristic p of q = p^e) is decided by isprime, a
+deterministic Miller-Rabin test with the first 13 primes as bases.  It is
+exact below psi_13 = 3,317,044,064,679,887,385,961,981 (Sorenson and Webster,
+Math. Comp. 2017) and refuses n >= psi_13 with ValueError rather than guess.
 """
 
 from __future__ import annotations
@@ -25,8 +31,6 @@ import operator
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-from sympy import isprime
 
 
 class ParseError(ValueError):
@@ -45,24 +49,68 @@ class DivisibilityError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
+# primality over Z
+# ---------------------------------------------------------------------------
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # psi_13: least strong pseudoprime to all of _MR_BASES
+
+
+def isprime(n):
+    """True iff the integer n is prime; ValueError for n >= psi_13."""
+    if n < 2:
+        return False
+    if n >= _MR_BOUND:
+        raise ValueError("prime too large to certify")
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n, e):
+    """floor(n^(1/e)) for n >= 1 by integer Newton steps (no float overflow)."""
+    x = 1 << -(-n.bit_length() // e)  # 2^ceil(bits/e) > n^(1/e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+# ---------------------------------------------------------------------------
 # coefficient fields GF(q)
 # ---------------------------------------------------------------------------
 
 
 def _factor_prime_power(q):
-    if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    p = 2
-    while q % p:
-        p += 1
-    e = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, e
+    """(p, e) with q = p^e, p prime.
+
+    With e the largest exponent for which q is a perfect e-th power r^e, q is
+    a prime power iff r is prime, since any other root of q is a power of r.
+    """
+    if q >= 2:
+        for e in range(q.bit_length() - 1, 0, -1):
+            r = _iroot(q, e)
+            if r**e == q:
+                if isprime(r):
+                    return r, e
+                break
+    raise ValueError(f"{q} is not a prime power")
 
 
 def _trim(coeffs):

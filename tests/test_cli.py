@@ -263,6 +263,48 @@ def test_bad_input_is_exit_1(capsys):
         assert "error:" in err
 
 
+def test_deep_parentheses_are_exit_1(capsys):
+    ok = "(" * 200 + "x+y-z" + ")" * 200
+    assert run(capsys, "roots", "--poly", ok, "--window", "1..5")[0] == EXIT_DEFINITIVE
+    deep = "(" * 300 + "x+y-z" + ")" * 300
+    code, out, err = run(capsys, "roots", "--poly", deep, "--window", "1..5")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert "error: parentheses nested too deeply at position 200" in err
+
+
+def test_long_unary_minus_run_parses(capsys):
+    # read in a loop, so a run of 3000 minuses is an even negation, not a traceback
+    plain = run(capsys, "roots", "--poly", "x+y-z", "--window", "1..5")
+    assert run(capsys, "roots", "--poly=" + "-" * 3000 + "x+y-z", "--window", "1..5") == plain
+    nested = "-(" * 300 + "x" + ")" * 300
+    code, out, err = run(capsys, "roots", "--poly=" + nested, "--window", "1..5")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert "nested too deeply" in err
+
+
+def test_verify_deeply_nested_json_is_exit_1(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert "error: certificate JSON nested too deeply" in err
+
+
+def test_ordmod_prime_too_large_to_certify_is_exit_1(capsys):
+    code, out, err = run(
+        capsys,
+        "refute",
+        "--poly",
+        "x + y - z",
+        "--coloring",
+        "ordmod:170141183460469231731687303715884105727:3",  # 2^127 - 1
+        "--window",
+        "1..10",
+    )
+    assert (code, out) == (EXIT_ERROR, "")
+    assert "error: prime too large to certify" in err
+
+
 def test_unknown_subcommand_is_exit_1(capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_ERROR
 

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +20,7 @@ from partreg.rings import (
     from_int,
     gcd,
     gf_poly_domain,
+    isprime,
     one,
     ord_at,
     parse_domain,
@@ -301,6 +303,65 @@ def test_ord_is_additive_on_products(domain, prime):
         if x.is_zero() or y.is_zero():
             continue
         assert ord_at(x * y, prime).value == ord_at(x, prime).value + ord_at(y, prime).value
+
+
+# ---------------------------------------------------------------------------
+# primality and prime powers
+# ---------------------------------------------------------------------------
+
+PSI_13 = 3317044064679887385961981
+
+
+def test_isprime_matches_sympy():
+    from sympy import primerange
+
+    primes = set(primerange(0, 10**5 + 1))
+    assert [n for n in range(-5, 10**5 + 1) if isprime(n)] == sorted(primes)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,  # Carmichael
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to the first 9 prime bases
+        318665857834031151167461,  # psi_12, strong pseudoprime to the first 12
+    ],
+)
+def test_isprime_rejects_strong_pseudoprimes(n):
+    from sympy import isprime as sympy_isprime
+
+    assert not sympy_isprime(n)
+    assert not isprime(n)
+
+
+@pytest.mark.parametrize("n", [PSI_13, 2**127 - 1])
+def test_isprime_refuses_past_its_bound(n):
+    with pytest.raises(ValueError, match="prime too large to certify"):
+        isprime(n)
+
+
+def test_factor_prime_power_matches_factorint():
+    from sympy import factorint
+
+    for q in range(-3, 5000):
+        factors = factorint(q) if q >= 2 else {}
+        expected = next(iter(factors.items())) if len(factors) == 1 else None
+        try:
+            got = rings._factor_prime_power(q)
+        except ValueError:
+            got = None
+        assert got == expected, q
+
+
+def test_large_prime_field_parses_fast():
+    start = time.perf_counter()
+    domain = parse_domain("GF(2305843009213693951)[t]")  # 2^61 - 1
+    assert time.perf_counter() - start < 0.5
+    assert domain.coeff_field.p == 2**61 - 1
+    assert rings._factor_prime_power(3**300) == (3, 300)  # integer roots, no float overflow
+    with pytest.raises(ParseError, match="prime too large to certify"):
+        parse_domain(f"GF({2**127 - 1})[t]")
 
 
 # ---------------------------------------------------------------------------
