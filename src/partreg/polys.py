@@ -1,41 +1,46 @@
 """Sparse multivariate polynomials over Z or GF(q)[t].
 
-Variables are positional; terms map exponent tuples to nonzero ring
-coefficients.  Besides arithmetic and exact evaluation (over the ring on raw
-values, and over the fraction field), this module hosts the two decidable
-structural predicates (homogeneity, and additive translation invariance by
-Hasse derivatives along (1,...,1) without expanding p(x+r)) and the
-rootless-quadratic combination that folds a polynomial system into a single
-polynomial with the same solution set.
+Variables are positional.  MultiPoly.terms maps exponent tuples to nonzero
+raw coefficients, stored frozen (ops.freeze): ints over Z, code tuples over
+GF(q)[t].  Raw terms are checked at three edges, the MultiPoly constructor,
+parse_poly and poly_from_records, all by the constructor's check.  All
+arithmetic runs on raw term dicts (raw_add, raw_neg, raw_mul, and powers by
+rings.power), and one substitute_and_clear fold serves composition, the
+reductions, system combination and exact evaluation in the ring and the
+fraction field.  The module also decides homogeneity and additive
+translation invariance (by Hasse derivatives, without expanding p(x+r)), and
+folds a polynomial system into one polynomial with the same roots.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import rings
-from .rings import (
-    DomainElement,
-    DomainTag,
-    ParseError,
-    field_from_ring,
-    field_zero,
-    from_int,
-    one,
-    t_element,
-    zero,
-)
+from .rings import DomainElement, DomainTag, FieldElement, ParseError
+from .rings import from_int, one, t_element, zero
 
 
 @dataclass
 class MultiPoly:
+    """terms maps exponent tuples of length nvars to nonzero raw coefficients.
+
+    The constructor is the check on incoming terms, parse_poly's and
+    poly_from_records' included: arity, nonnegative exponents, and coefficients
+    by DomainTag.canonical (as for DomainElement); zero ones are dropped.
+    """
+
     domain: DomainTag
     nvars: int
-    terms: dict = field(default_factory=dict)  # exponent tuple -> DomainElement
+    terms: dict = field(default_factory=dict)  # exponent tuple -> raw coefficient
 
     def __post_init__(self):
+        canonical = self.domain.canonical
         clean = {}
         for exps, coeff in self.terms.items():
             exps = tuple(exps)
@@ -43,7 +48,8 @@ class MultiPoly:
                 raise ValueError("exponent tuple arity mismatch")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            if not coeff.is_zero():
+            coeff = canonical(coeff)
+            if coeff:
                 clean[exps] = coeff
         self.terms = clean
 
@@ -55,16 +61,18 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, domain, nvars, coeff):
+        """The constant polynomial coeff: an int, or a DomainElement of domain."""
         if isinstance(coeff, int):
             coeff = from_int(domain, coeff)
-        return cls(domain, nvars, {(0,) * nvars: coeff})
+        elif coeff.domain != domain:
+            raise TypeError("mixed-domain arithmetic")
+        return cls(domain, nvars, {(0,) * nvars: coeff.value})
 
     @classmethod
-    def variable(cls, domain, nvars, index, coeff=None):
+    def variable(cls, domain, nvars, index):
         if not 0 <= index < nvars:
             raise ValueError("variable index out of range")
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(domain, nvars, {exps: coeff if coeff is not None else one(domain)})
+        return cls(domain, nvars, {_unit_exponent(nvars, index): domain.ops.one})
 
     # -- basic queries -------------------------------------------------------
 
@@ -75,14 +83,6 @@ class MultiPoly:
         """Max total degree; 0 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=0)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiPoly)
-            and self.domain == other.domain
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other):
@@ -91,39 +91,23 @@ class MultiPoly:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps)
-            terms[exps] = coeff if acc is None else acc + coeff
-        return MultiPoly(self.domain, self.nvars, terms)
+        return MultiPoly(self.domain, self.nvars, raw_add(self.domain.ops, self.terms, other.terms))
 
     def __neg__(self):
-        return MultiPoly(self.domain, self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly(self.domain, self.nvars, raw_neg(self.domain.ops, self.terms))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                acc = terms.get(exps)
-                terms[exps] = prod if acc is None else acc + prod
-        return MultiPoly(self.domain, self.nvars, terms)
+        return MultiPoly(self.domain, self.nvars, raw_mul(self.domain.ops, self.terms, other.terms))
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
-        unit = MultiPoly.constant(self.domain, self.nvars, one(self.domain))
-        return rings.power(MultiPoly.__mul__, unit, self, n)
-
-    def scale(self, coeff):
-        if coeff.is_zero():
-            return MultiPoly.zero(self.domain, self.nvars)
-        return MultiPoly(self.domain, self.nvars, {e: c * coeff for e, c in self.terms.items()})
+        ring = poly_ring(self.domain.ops, self.nvars)
+        return MultiPoly(self.domain, self.nvars, ring.pow(self.terms, n))
 
     def compose(self, subs):
         """Substitute subs[i] (all sharing one arity) for variable i."""
@@ -132,19 +116,11 @@ class MultiPoly:
         if not subs:
             raise ValueError("compose requires at least one variable")
         nvars = subs[0].nvars
-        domain = self.domain
-        out = MultiPoly.zero(domain, nvars)
-        power_cache = {}
-        for exps, coeff in self.terms.items():
-            prod = MultiPoly.constant(domain, nvars, coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    key = (i, e)
-                    if key not in power_cache:
-                        power_cache[key] = subs[i] ** e
-                    prod = prod * power_cache[key]
-            out = out + prod
-        return out
+        if any(s.domain != self.domain or s.nvars != nvars for s in subs):
+            raise ValueError("mixed-arity or mixed-domain polynomial arithmetic")
+        ring = poly_ring(self.domain.ops, nvars)
+        out = substitute_and_clear(ring, ring.lift(self.terms), [(s.terms, None) for s in subs])
+        return MultiPoly(self.domain, nvars, out)
 
     def substitute_first(self, value):
         """Plug a ring element into variable 0, dropping one variable."""
@@ -152,11 +128,8 @@ class MultiPoly:
         if not isinstance(value, DomainElement) or value.domain != domain:
             raise TypeError("mixed-domain arithmetic")
         ops = domain.ops
-        raw = substitute_first_raw(
-            ops, {e: c.value for e, c in self.terms.items()}, RawPowers(ops.pow, value.value)
-        )
-        terms = {e: DomainElement(domain, c) for e, c in raw.items()}
-        return MultiPoly(domain, self.nvars - 1, terms)
+        raw = substitute_first_raw(ops, self.terms, RawPowers(ops.pow, value.value))
+        return MultiPoly(domain, self.nvars - 1, raw)
 
     def lift(self, nvars):
         """Reinterpret in a larger ring; new trailing variables are unused."""
@@ -170,51 +143,124 @@ class MultiPoly:
 
 
 # ---------------------------------------------------------------------------
+# raw polynomial kernels
+# ---------------------------------------------------------------------------
+# Raw terms map exponent tuples of one arity to nonzero raw coefficients.  The
+# kernels drop cancelled terms; GF(q)[t] coefficients may be lists until a
+# MultiPoly stores them frozen.
+
+
+def _unit_exponent(nvars, index):
+    return tuple(1 if i == index else 0 for i in range(nvars))
+
+
+def raw_add(ops, a, b):
+    out = dict(a)
+    for exps, c in b.items():
+        out[exps] = ops.add(out[exps], c) if exps in out else c
+    return {exps: c for exps, c in out.items() if c}
+
+
+def raw_neg(ops, a):
+    return {exps: ops.neg(c) for exps, c in a.items()}
+
+
+def raw_mul(ops, a, b):
+    add, mul = ops.add, ops.mul
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(map(operator.add, e1, e2))
+            prod = mul(c1, c2)
+            out[exps] = add(out[exps], prod) if exps in out else prod
+    return {exps: c for exps, c in out.items() if c}
+
+
+class PolyRing(NamedTuple):
+    """Raw polynomials of one arity, shaped like RawOps for substitute_and_clear;
+    lift turns raw coefficients into constant polynomials."""
+
+    zero: dict
+    add: object
+    mul: object
+    pow: object
+    lift: object
+
+
+def poly_ring(ops, nvars):
+    mul = functools.partial(raw_mul, ops)
+    constant = (0,) * nvars
+    return PolyRing(
+        {},
+        functools.partial(raw_add, ops),
+        mul,
+        lambda a, n: rings.power(mul, {constant: ops.one}, a, n),
+        lambda terms: {exps: {constant: c} for exps, c in terms.items()},
+    )
+
+
+def substitute_and_clear(ring, terms, blocks, clear=None):
+    """sum over terms of c_e * prod_i n_i^(e_i) * d_i^(clear_i - e_i), in `ring`.
+
+    ring is a RawOps (raw values) or a PolyRing (raw polynomials), and the
+    coefficients and blocks (n_i, d_i) are its elements.  A None d_i clears
+    nothing; clear (per variable, at least every e_i) is read only for the
+    other blocks.  Each factor is built once per (variable, exponent).
+    """
+    add, mul, pow = ring.add, ring.mul, ring.pow
+    clears = clear and [0 if d is None else k for (_, d), k in zip(blocks, clear)]
+    total, factors = ring.zero, {}
+    for exps, coeff in terms.items():
+        for i, e in enumerate(exps):
+            if e or clears and clears[i]:
+                factor = factors.get((i, e))
+                if factor is None:
+                    numerator, denominator = blocks[i]
+                    factor = pow(numerator, e)
+                    if clears and clears[i] > e:
+                        factor = mul(factor, pow(denominator, clears[i] - e))
+                    factors[i, e] = factor
+                coeff = mul(coeff, factor)
+        total = add(total, coeff)
+    return total
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
 
-def eval_field(p, point):
-    """Exact value of p at a point of K^nvars."""
+def _check_point(p, point, kind):
     if len(point) != p.nvars:
         raise ValueError(f"expected {p.nvars} coordinates, got {len(point)}")
-    total = field_zero(p.domain)
-    cache = {}
-    for exps, coeff in p.terms.items():
-        term = field_from_ring(coeff)
-        for i, e in enumerate(exps):
-            if e:
-                key = (i, e)
-                if key not in cache:
-                    cache[key] = point[i] ** e
-                term = term * cache[key]
-        total = total + term
-    return total
+    domain = p.domain
+    for x in point:
+        if not isinstance(x, kind) or (x.domain is not domain and x.domain != domain):
+            raise TypeError("mixed-domain arithmetic")
+
+
+def eval_field(p, point):
+    """Exact value of p at a point of K^nvars.
+
+    With x_i = n_i/d_i and E_i the largest exponent of variable i, the
+    numerator sum_e c_e prod n_i^e_i d_i^(E_i - e_i) over the common
+    denominator prod d_i^E_i is folded on raw values and normalized once.
+    """
+    _check_point(p, point, FieldElement)
+    domain = p.domain
+    ops = domain.ops
+    blocks = [(x.num.value, None if x.den.is_one() else x.den.value) for x in point]
+    clear = [max(column) for column in zip(*p.terms)] or [0] * p.nvars
+    num = substitute_and_clear(ops, p.terms, blocks, clear)
+    den = substitute_and_clear(ops, {(0,) * p.nvars: ops.one}, blocks, clear)  # prod d_i^E_i
+    return rings.frac_normalize(domain, DomainElement(domain, num), DomainElement(domain, den))
 
 
 def eval_ring(p, point):
     """Exact value of p at a point of R^nvars, folded on raw values and wrapped once."""
-    if len(point) != p.nvars:
-        raise ValueError(f"expected {p.nvars} coordinates, got {len(point)}")
-    domain = p.domain
-    values = []
-    for x in point:
-        if not isinstance(x, DomainElement) or (x.domain is not domain and x.domain != domain):
-            raise TypeError("mixed-domain arithmetic")
-        values.append(x.value)
-    ops = domain.ops
-    total = ops.zero
-    powers = {}
-    for exps, coeff in p.terms.items():
-        term = coeff.value
-        for i, e in enumerate(exps):
-            if e:
-                power = powers.get((i, e))
-                if power is None:
-                    power = powers[i, e] = ops.pow(values[i], e)
-                term = ops.mul(term, power)
-        total = ops.add(total, term)
-    return DomainElement(domain, total)
+    _check_point(p, point, DomainElement)
+    blocks = [(x.value, None) for x in point]
+    return DomainElement(p.domain, substitute_and_clear(p.domain.ops, p.terms, blocks))
 
 
 class RawPowers(dict):
@@ -275,12 +321,8 @@ def is_homogeneous(p):
 
     The zero polynomial is reported homogeneous of degree 0.
     """
-    degrees = {sum(e) for e in p.terms}
-    if not degrees:
-        return 0
-    if len(degrees) == 1:
-        return degrees.pop()
-    return None
+    degrees = {sum(e) for e in p.terms} or {0}
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 def is_translation_invariant(p):
@@ -304,11 +346,9 @@ def is_translation_invariant(p):
         derivative = {}
         for exps, coeff in p.terms.items():
             for lowered, binomial in _lowerings(exps, k):
-                multiple = ops.from_int(binomial)
-                if multiple:
-                    term = ops.mul(coeff.value, multiple)
-                    acc = derivative.get(lowered)
-                    derivative[lowered] = term if acc is None else ops.add(acc, term)
+                term = ops.mul(coeff, ops.from_int(binomial))
+                acc = derivative.get(lowered)
+                derivative[lowered] = term if acc is None else ops.add(acc, term)
         if any(derivative.values()):
             return False
         if not ops.characteristic:
@@ -354,21 +394,23 @@ def rootless_quadratic(domain):
 def combine_system(ps):
     """A single polynomial whose K-roots are the common K-roots of ps.
 
-    Iterates acc -> acc^2*a0 + acc*next*a1 + next^2 where w^2 + a1*w + a0 is
-    rootless in K, i.e. acc^2 * f(next/acc).
+    Iterates acc -> acc^2 * f(next/acc) = acc^2*a0 + acc*next*a1 + next^2,
+    where f(w) = w^2 + a1*w + a0 is rootless in K: one substitute-and-clear
+    of f with the block (next, acc).
     """
     if not ps:
         raise ValueError("empty system")
     domain = ps[0].domain
     nvars = ps[0].nvars
-    for p in ps:
-        if p.domain != domain or p.nvars != nvars:
-            raise ValueError("mixed domains or arities in system")
+    if any(p.domain != domain or p.nvars != nvars for p in ps):
+        raise ValueError("mixed domains or arities in system")
     a0, a1 = rootless_quadratic(domain)
-    acc = ps[0]
+    ring = poly_ring(domain.ops, nvars)
+    f = ring.lift({(2,): domain.ops.one, (1,): a1.value, (0,): a0.value})
+    acc = ps[0].terms
     for p in ps[1:]:
-        acc = (acc * acc).scale(a0) + (acc * p).scale(a1) + p * p
-    return acc
+        acc = substitute_and_clear(ring, f, [(p.terms, acc)], [2])
+    return MultiPoly(domain, nvars, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +430,8 @@ def tokenize(text):
             if text[pos:].strip() == "":
                 break
             raise ParseError("unexpected character", text, pos)
-        if m.group(1):
-            tokens.append(("int", int(m.group(1)), pos))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), pos))
-        else:
-            tokens.append(("op", m.group(3), pos))
+        kind = ("int", "name", "op")[m.lastindex - 1]
+        tokens.append((kind, int(m[1]) if m[1] else m[m.lastindex], pos))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
@@ -406,7 +444,9 @@ class _PolyParser:
     """The expression parser: named variables, t over GF(q)[t], integer literals.
 
     An integer literal over GF(q)[t] is a coefficient code in [0, q), exactly
-    as rings.format_element prints it, so printed output parses back.
+    as rings.format_element prints it, so printed output parses back.  Unless
+    var_order pins them, the variables are the names in order of appearance,
+    so sub-expressions are raw term dicts of the final arity from the start.
     """
 
     def __init__(self, domain, text, var_order=None):
@@ -415,8 +455,17 @@ class _PolyParser:
         self.tokens = tokenize(text)
         self.i = 0
         self.depth = 0  # open parentheses; bounded so parsing never exhausts the stack
-        self.fixed_order = var_order is not None
-        self.var_order = list(var_order) if var_order else []
+        if var_order is None:
+            names = (val for kind, val, _ in self.tokens if kind == "name" and not self._is_t(val))
+            var_order = dict.fromkeys(names)
+        self.var_order = list(var_order)
+        self.ring = poly_ring(domain.ops, len(self.var_order))
+
+    def _is_t(self, name):
+        return name == "t" and self.domain.kind == "GFqt"
+
+    def _constant(self, value):
+        return {(0,) * len(self.var_order): value} if value else {}
 
     def peek(self):
         return self.tokens[self.i]
@@ -426,45 +475,26 @@ class _PolyParser:
         self.i += 1
         return tok
 
-    def var_index(self, name, pos):
-        if name in self.var_order:
-            return self.var_order.index(name)
-        if self.fixed_order:
-            raise ParseError(f"unknown variable {name!r}", self.text, pos)
-        self.var_order.append(name)
-        return len(self.var_order) - 1
-
     def parse(self):
         raw = self.expr()
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError("trailing input", self.text, pos)
-        return self._pad(raw), self.var_order
-
-    # raw polynomials during parsing use the running variable count; terms are
-    # re-padded at the end once all variables are known.
-    def _pad(self, p):
-        n = len(self.var_order)
-        return MultiPoly(self.domain, n, {e + (0,) * (n - len(e)): c for e, c in p.terms.items()})
+        return MultiPoly(self.domain, len(self.var_order), raw), self.var_order
 
     def expr(self):
+        ops = self.domain.ops
+        acc, sign = {}, "+"
         kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            self.next()
-            negate = val == "-"
-        acc = self.term()
-        if negate:
-            acc = -acc
+        if kind == "op" and val in "+-":  # a leading sign
+            sign = self.next()[1]
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                acc, rhs = self._pad(acc), self._pad(rhs)
-                acc = acc + rhs if val == "+" else acc - rhs
-            else:
+            rhs = self.term()
+            acc = raw_add(ops, acc, rhs if sign == "+" else raw_neg(ops, rhs))
+            kind, sign, _ = self.peek()
+            if not (kind == "op" and sign in "+-"):
                 return acc
+            self.next()
 
     def term(self):
         acc = self.factor()
@@ -475,8 +505,7 @@ class _PolyParser:
             elif not (kind in ("int", "name") or (kind == "op" and val == "(")):
                 return acc
             # an explicit "*", or juxtaposition such as "2x" or "2(x+y)"
-            rhs = self.factor()
-            acc = self._pad(acc) * self._pad(rhs)
+            acc = self.ring.mul(acc, self.factor())
 
     def factor(self):
         base = self.atom()
@@ -486,7 +515,7 @@ class _PolyParser:
             kind, val, pos = self.next()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", self.text, pos)
-            return self._pad(base) ** val
+            return self.ring.pow(base, val)
         return base
 
     def atom(self):
@@ -495,20 +524,20 @@ class _PolyParser:
         while kind == "op" and val == "-":  # a run of unary minuses, read in a loop
             negate = not negate
             kind, val, pos = self.next()
-        n = len(self.var_order)
         if kind == "int":
             if self.domain.kind == "Z":
-                result = MultiPoly.constant(self.domain, n, val)
+                result = self._constant(val)
             else:
                 code = val % self.domain.q
-                coeff = DomainElement(self.domain, (code,) if code else ())
-                result = MultiPoly.constant(self.domain, n, coeff)
+                result = self._constant((code,) if code else ())
         elif kind == "name":
-            if val == "t" and self.domain.kind == "GFqt":
-                result = MultiPoly.constant(self.domain, n, t_element(self.domain))
+            if self._is_t(val):
+                result = self._constant((0, 1))
+            elif val not in self.var_order:
+                raise ParseError(f"unknown variable {val!r}", self.text, pos)
             else:
-                idx = self.var_index(val, pos)
-                result = MultiPoly.variable(self.domain, len(self.var_order), idx)
+                index = self.var_order.index(val)
+                result = {_unit_exponent(len(self.var_order), index): self.domain.ops.one}
         elif kind == "op" and val == "(":
             if self.depth == _MAX_NESTING:
                 raise ParseError("parentheses nested too deeply", self.text, pos)
@@ -520,7 +549,7 @@ class _PolyParser:
                 raise ParseError("expected ')'", self.text, pos)
         else:
             raise ParseError("expected a term", self.text, pos)
-        return -result if negate else result
+        return raw_neg(self.domain.ops, result) if negate else result
 
 
 def parse_poly(domain, text, var_order=None):
@@ -546,12 +575,12 @@ def poly_to_string(p, names=None):
                 factors.append(names[i])
             elif e > 1:
                 factors.append(f"{names[i]}^{e}")
-        coeff_str = rings.format_element(coeff)
+        coeff_str = rings.format_element(DomainElement(p.domain, coeff))
         if not factors:
             parts.append(coeff_str)
-        elif coeff.is_one():
+        elif coeff == p.domain.ops.one:
             parts.append("*".join(factors))
-        elif p.domain.kind == "Z" and coeff.value == -1:
+        elif p.domain.kind == "Z" and coeff == -1:
             parts.append("-" + "*".join(factors))
         else:
             wrapped = f"({coeff_str})" if "+" in coeff_str else coeff_str
@@ -566,13 +595,11 @@ def poly_to_records(p):
     """Serialized form: a list of {coefficient, exponent-tuple} records."""
     records = []
     for exps in sorted(p.terms):
-        records.append({"c": rings.format_element(p.terms[exps]), "e": list(exps)})
+        coeff = DomainElement(p.domain, p.terms[exps])
+        records.append({"c": rings.format_element(coeff), "e": list(exps)})
     return {"nvars": p.nvars, "terms": records}
 
 
 def poly_from_records(domain, data):
-    terms = {}
-    for record in data["terms"]:
-        coeff = rings.parse_element(domain, record["c"])
-        terms[tuple(record["e"])] = coeff
+    terms = {tuple(r["e"]): rings.parse_element(domain, r["c"]).value for r in data["terms"]}
     return MultiPoly(domain, data["nvars"], terms)

@@ -20,13 +20,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .rings import (
-    DomainTag,
-    field_from_ring,
-    field_zero,
-    one,
-    zero,
-)
+from .rings import DomainElement, DomainTag, field_from_ring, field_zero, frac_normalize, zero
 
 DEFAULT_MAX_COLS = 9  # a stage scans up to 2^n subsets of the remaining columns
 
@@ -71,57 +65,47 @@ class ColumnsWitness:
     combos: list  # list of dicts {column index: FieldElement}
 
 
-def _vec_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
 def _cell_sum(system, cell):
-    acc = [zero(system.domain)] * system.nrows
-    for j in cell:
-        acc = _vec_add(acc, system.column(j))
-    return acc
+    return [sum((row[j] for j in cell), zero(system.domain)) for row in system.entries]
 
 
 def solve_in_span(domain, columns, target):
     """Solve sum_j x_j * columns[j] = target over K, or return None.
 
-    Fraction-free (Bareiss) forward elimination over the ring keeps entries
-    exactly divisible; back substitution produces normalized fractions.
-    Free variables are set to zero.
+    Fraction-free (Bareiss) forward elimination on raw ring values keeps
+    entries exactly divisible; back substitution folds each unknown's
+    numerator and denominator on raw values and normalizes it once.  Free
+    variables are set to zero.
     """
-    m = len(target)
+    ops = domain.ops
+    add, neg, mul = ops.add, ops.neg, ops.mul
     k = len(columns)
-    a = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(m)]
-    prev = one(domain)
-    pivot_cols = []
-    r = 0
+    a = [[column[i].value for column in columns] + [t.value] for i, t in enumerate(target)]
+    prev, pivots = ops.one, []  # pivots[r]: the pivot column of row r
     for c in range(k):
-        pivot_row = None
-        for i in range(r, m):
-            if not a[i][c].is_zero():
-                pivot_row = i
-                break
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(a)) if a[i][c]), None)
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        for i in range(r + 1, m):
+        pivot = a[r]
+        for row in a[r + 1 :]:  # column c below the pivot is never read again
             for j in range(c + 1, k + 1):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]).exact_div(prev)
-            a[i][c] = zero(domain)
-        prev = a[r][c]
-        pivot_cols.append(c)
-        r += 1
-    for i in range(r, m):
-        if not a[i][k].is_zero():
-            return None
+                minor = add(mul(pivot[c], row[j]), neg(mul(row[c], pivot[j])))
+                row[j] = ops.divmod(minor, prev)[0]  # exact, by Bareiss
+        prev = pivot[c]
+        pivots.append(c)
+    if any(row[k] for row in a[len(pivots) :]):
+        return None
     x = [field_zero(domain)] * k
-    for idx in range(r - 1, -1, -1):
-        c = pivot_cols[idx]
-        s = field_from_ring(a[idx][k])
+    for row, c in reversed(list(zip(a, pivots))):
+        num, den = row[k], ops.one
         for j in range(c + 1, k):
-            if not a[idx][j].is_zero() and not x[j].is_zero():
-                s = s - field_from_ring(a[idx][j]) * x[j]
-        x[c] = s / field_from_ring(a[idx][c])
+            if row[j] and x[j]:
+                num = add(mul(num, x[j].den.value), neg(mul(mul(row[j], x[j].num.value), den)))
+                den = mul(den, x[j].den.value)
+        den = mul(den, row[c])
+        x[c] = frac_normalize(domain, DomainElement(domain, num), DomainElement(domain, den))
     return x
 
 
@@ -187,8 +171,7 @@ def verify_witness(system, witness):
     if len(witness.combos) != len(witness.cells) - 1:
         raise ValueError("witness has the wrong number of combinations")
 
-    zero_vec = [zero(system.domain)] * system.nrows
-    if _cell_sum(system, witness.cells[0]) != zero_vec:
+    if any(_cell_sum(system, witness.cells[0])):
         return False
     earlier = list(witness.cells[0])
     for cell, combo in zip(witness.cells[1:], witness.combos):

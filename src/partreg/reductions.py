@@ -26,8 +26,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .polys import MultiPoly, eval_ring, is_homogeneous, is_translation_invariant
-from .rings import DomainElement, nonzero_prefix
+from .polys import MultiPoly, is_homogeneous, is_translation_invariant, poly_ring
+from .polys import substitute_and_clear
+from .rings import nonzero_prefix
 
 TRANSFORM_IDS = ("shift", "q3", "dq4", "gate:mul", "gate:add")
 
@@ -62,25 +63,13 @@ def _substitute_and_clear(p, blocks):
 
     blocks[i] is the (numerator, denominator) pair of polynomials, all of one
     arity, that replaces variable i; a None denominator substitutes the
-    numerator alone and clears nothing.  Each block power is built once.
+    numerator alone and clears nothing.  The fold runs on their raw terms.
     """
     nvars = blocks[0][0].nvars if blocks else 0
-    degree = p.degree()
-    domain = p.domain
-    out = MultiPoly.zero(domain, nvars)
-    factors = {}
-    for exps, coeff in p.terms.items():
-        term = MultiPoly.constant(domain, nvars, coeff)
-        for i, e in enumerate(exps):
-            key = (i, e)
-            if key not in factors:
-                numerator, denominator = blocks[i]
-                factors[key] = numerator**e
-                if denominator is not None:
-                    factors[key] = factors[key] * denominator ** (degree - e)
-            term = term * factors[key]
-        out = out + term
-    return out
+    ring = poly_ring(p.domain.ops, nvars)
+    raw_blocks = [(n.terms, None if d is None else d.terms) for n, d in blocks]
+    out = substitute_and_clear(ring, ring.lift(p.terms), raw_blocks, [p.degree()] * p.nvars)
+    return MultiPoly(p.domain, nvars, out)
 
 
 def _q3_blocks(p, var_indices):
@@ -165,27 +154,20 @@ def _identity_sampled(p, out, blocks, rng, samples=25):
     and a point where some d_i vanishes is skipped; a check that skips every
     point checks nothing, so it fails.
     """
-    degree = p.degree()
-    pool = nonzero_prefix(p.domain, 40)
+    clear = [p.degree()] * p.nvars
+    pool = [x.value for x in nonzero_prefix(p.domain, 40)]
     ops = p.domain.ops
     checked = 0
     for _ in range(samples):
-        z = tuple(rng.choice(pool) for _ in range(out.nvars))
+        raw = [(rng.choice(pool), None) for _ in range(out.nvars)]  # the point, as blocks
         values = [
-            (eval_ring(n, z).value, None if d is None else eval_ring(d, z).value)
-            for n, d in blocks
+            tuple(None if q is None else substitute_and_clear(ops, q.terms, raw) for q in block)
+            for block in blocks
         ]
         if any(d is not None and not d for _, d in values):
             continue
-        expected = ops.zero
-        for exps, coeff in p.terms.items():
-            term = coeff.value
-            for (n, d), e in zip(values, exps):
-                term = ops.mul(term, ops.pow(n, e))
-                if d is not None:
-                    term = ops.mul(term, ops.pow(d, degree - e))
-            expected = ops.add(expected, term)
-        if eval_ring(out, z) != DomainElement(p.domain, expected):
+        expected = substitute_and_clear(ops, p.terms, values, clear)
+        if ops.freeze(substitute_and_clear(ops, out.terms, raw)) != ops.freeze(expected):
             return False
         checked += 1
     return checked > 0

@@ -355,6 +355,19 @@ class DomainTag:
         # ops holds closures; a copy or unpickled tag looks its table up again
         return DomainTag, (self.kind, self.q)
 
+    def canonical(self, value):
+        """value in stored form, or TypeError/ValueError when it is not canonical."""
+        if self.kind == "Z":
+            if not isinstance(value, int):
+                raise TypeError("Z elements are ints")
+            return value
+        value = tuple(value)
+        if value and value[-1] == 0:
+            raise ValueError("trailing zero coefficient")
+        if value and not (0 <= min(value) and max(value) < self.q):
+            raise ValueError("coefficient out of range")
+        return value
+
     @property
     def coeff_field(self):
         if self.kind != "GFqt":
@@ -396,16 +409,7 @@ class DomainElement:
     value: int | tuple
 
     def __post_init__(self):
-        if self.domain.kind == "Z":
-            if not isinstance(self.value, int):
-                raise TypeError("Z elements are ints")
-        else:
-            v = tuple(self.value)
-            if v and v[-1] == 0:
-                raise ValueError("trailing zero coefficient")
-            if any(not (0 <= c < self.domain.q) for c in v):
-                raise ValueError("coefficient out of range")
-            object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", self.domain.canonical(self.value))
 
     # -- predicates -------------------------------------------------------
 
@@ -600,14 +604,6 @@ class FieldElement:
             return frac_normalize(self.domain, self.den ** (-n), self.num ** (-n))
         return FieldElement(self.num**n, self.den**n)
 
-    def is_ring_element(self):
-        return self.den.is_one()
-
-    def as_ring_element(self):
-        if not self.is_ring_element():
-            raise ValueError(f"{self} is not in the base ring")
-        return self.num
-
     def __str__(self):
         if self.den.is_one():
             return str(self.num)
@@ -650,19 +646,31 @@ def field_from_ring(x):
 
 
 def is_irreducible(x):
-    """True iff x is irreducible in its domain (prime in Z, irreducible poly)."""
+    """True iff x is irreducible in its domain (prime in Z, irreducible poly).
+
+    Over GF(q)[t] this is Rabin's test (SIAM J. Comput. 1980): f of degree
+    n >= 1 is irreducible iff t^(q^n) = t mod f and, for each prime r | n,
+    gcd(t^(q^(n/r)) - t, f) = 1.  The powers t^(q^k) mod f come from n
+    Frobenius steps of log2(q) squarings each.
+    """
     if x.domain.kind == "Z":
         return isprime(abs(x.value))
-    # trial division by every monic polynomial of degree 1..deg(x)/2
-    d = x.degree()
-    if d <= 0:
+    n = x.degree()
+    if n <= 0:
         return False
-    q = x.domain.q
-    for deg in range(1, d // 2 + 1):
-        for index in range(q**deg, 2 * q**deg):  # the monic ones of degree deg
-            if enum_element(x.domain, index).divides(x):
-                return False
-    return True
+    ops, f = x.domain.ops, x.value
+    t = ops.divmod((0, 1), f)[1]
+
+    def mulmod(a, b):
+        return ops.divmod(ops.mul(a, b), f)[1]
+
+    frobenius = [t]  # frobenius[k] = t^(q^k) mod f
+    for _ in range(n):
+        frobenius.append(power(mulmod, ops.one, frobenius[-1], x.domain.q))
+    primes = [r for r in range(2, n + 1) if n % r == 0 and isprime(r)]
+    return frobenius[n] == t and all(
+        ops.gcd(ops.add(frobenius[n // r], ops.neg(t)), f) == ops.one for r in primes
+    )
 
 
 class OrdResult(NamedTuple):
@@ -705,7 +713,7 @@ def parse_element(domain, text):
     from .polys import parse_poly
 
     poly, _ = parse_poly(domain, text, var_order=[])
-    return poly.terms.get((), zero(domain))
+    return DomainElement(domain, poly.terms.get((), domain.ops.zero))
 
 
 def parse_fraction(domain, text):

@@ -125,11 +125,11 @@ def _split_last_variable(p):
     f_terms, h_terms = {}, {}
     for exps, coeff in p.terms.items():
         if not exps[-1]:
-            f_terms[exps[:-1]] = coeff.value
+            f_terms[exps[:-1]] = coeff
         elif any(exps[:-1]):
             return None
         else:
-            h_terms[exps[-1:]] = coeff.value
+            h_terms[exps[-1:]] = coeff
     if not h_terms:
         return None
     return f_terms, h_terms
@@ -266,8 +266,7 @@ def enumerate_roots(p, window, injective=False):
     raw = _RawWindow(p.domain.ops, window)
     split = _split_last_variable(p)
     if split is None:
-        terms = {e: c.value for e, c in p.terms.items()}
-        found = _descended_roots(p.nvars, terms, raw, injective)
+        found = _descended_roots(p.nvars, p.terms, raw, injective)
     else:
         found = _separable_roots(*split, p.nvars - 1, raw, injective)
     found.sort()

@@ -142,9 +142,9 @@ def _random_poly_z(rng):
         if sum(exps) > 3:
             continue
         c = rng.choice([v for v in range(-5, 6) if v])
-        terms[exps] = from_int(INTEGERS, c)
+        terms[exps] = c
     if not terms:
-        terms[(1,) + (0,) * (k - 1)] = from_int(INTEGERS, 1)
+        terms[(1,) + (0,) * (k - 1)] = 1
     return MultiPoly(INTEGERS, k, terms)
 
 
@@ -156,9 +156,9 @@ def _random_poly_gf3(rng):
         exps = tuple(rng.randrange(4) for _ in range(k))
         if sum(exps) > 3:
             continue
-        terms[exps] = rng.choice(pool)
+        terms[exps] = rng.choice(pool).value
     if not terms:
-        terms[(1,) + (0,) * (k - 1)] = pool[0]
+        terms[(1,) + (0,) * (k - 1)] = pool[0].value
     return MultiPoly(GF3, k, terms)
 
 

@@ -305,6 +305,14 @@ def test_ordmod_prime_too_large_to_certify_is_exit_1(capsys):
     assert "error: prime too large to certify" in err
 
 
+def test_large_extension_field_answers(capsys):
+    # the degree-40 modulus is found by Rabin's test; trial division never finished
+    domain = "GF(1099511627776)[t]"  # 2^40
+    code, out, _ = run(capsys, "roots", "--domain", domain, "--poly", "x+y-z", "--window", "prefix:4")
+    assert code == EXIT_DEFINITIVE
+    assert out.startswith("6 root tuples, 1 edges")
+
+
 def test_unknown_subcommand_is_exit_1(capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_ERROR
 

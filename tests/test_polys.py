@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import eval_field_stepwise
 from partreg.polys import (
     MultiPoly,
     combine_system,
@@ -17,17 +18,20 @@ from partreg.polys import (
 )
 from partreg.rings import (
     INTEGERS,
+    DomainElement,
     enum_element,
     field_from_ring,
     frac_normalize,
     from_int,
     gf_poly_domain,
     parse_element,
+    zero,
 )
 
 GF2 = gf_poly_domain(2)
 GF3 = gf_poly_domain(3)
 GF4 = gf_poly_domain(4)
+GF9 = gf_poly_domain(9)
 
 
 def pp(domain, text, var_order=None):
@@ -43,8 +47,8 @@ def random_poly(domain, nvars, rng, max_terms=4, max_deg=3, coeff_pool=24):
     terms = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
         exps = tuple(rng.randrange(max_deg + 1) for _ in range(nvars))
-        coeff = enum_element(domain, rng.randrange(1, coeff_pool))
-        if not coeff.is_zero():
+        coeff = enum_element(domain, rng.randrange(1, coeff_pool)).value
+        if coeff:
             terms[exps] = coeff
     return MultiPoly(domain, nvars, terms)
 
@@ -57,12 +61,12 @@ def random_poly(domain, nvars, rng, max_terms=4, max_deg=3, coeff_pool=24):
 def test_parse_examples():
     p = pp(INTEGERS, "x^2 - 2*y*z + 5")
     assert p.nvars == 3
-    assert p.terms[(2, 0, 0)] == zint(1)
-    assert p.terms[(0, 1, 1)] == zint(-2)
-    assert p.terms[(0, 0, 0)] == zint(5)
+    assert p.terms[(2, 0, 0)] == 1
+    assert p.terms[(0, 1, 1)] == -2
+    assert p.terms[(0, 0, 0)] == 5
     q = pp(GF2, "x^2 + t*x + 1")
     assert q.nvars == 1
-    assert q.terms[(1,)] == parse_element(GF2, "t")
+    assert q.terms[(1,)] == parse_element(GF2, "t").value
 
 
 def test_parse_juxtaposition_and_var_order():
@@ -71,13 +75,13 @@ def test_parse_juxtaposition_and_var_order():
     p, names = parse_poly(INTEGERS, "2xy")
     assert names == ["xy"] and p.nvars == 1
     q = pp(INTEGERS, "y + x", var_order=["x", "y"])
-    assert q.terms[(1, 0)] == zint(1) and q.terms[(0, 1)] == zint(1)
+    assert q.terms[(1, 0)] == 1 and q.terms[(0, 1)] == 1
 
 
 def test_parse_t_is_a_constant_over_gf():
     p = pp(GF3, "t*x + t^2")
     assert p.nvars == 1
-    assert p.terms[(0,)] == parse_element(GF3, "t^2")
+    assert p.terms[(0,)] == parse_element(GF3, "t^2").value
     # over Z, t is just another variable name
     q, names = parse_poly(INTEGERS, "t*x")
     assert names == ["t", "x"] and q.nvars == 2
@@ -85,7 +89,8 @@ def test_parse_t_is_a_constant_over_gf():
 
 def test_string_roundtrip():
     rng = random.Random(2)
-    for domain in (INTEGERS, GF3, GF4):
+    # coeff_pool 24 > q, so coefficients with several base-q digits occur
+    for domain in (INTEGERS, GF2, GF3, GF4, GF9):
         for _ in range(100):
             p = random_poly(domain, 3, rng)
             assert pp(domain, poly_to_string(p), var_order=["x1", "x2", "x3"]) == p
@@ -93,10 +98,26 @@ def test_string_roundtrip():
 
 def test_records_roundtrip():
     rng = random.Random(4)
-    for domain in (INTEGERS, GF2, GF4):
+    for domain in (INTEGERS, GF2, GF4, GF9):
         for _ in range(50):
             p = random_poly(domain, 2, rng)
             assert poly_from_records(domain, poly_to_records(p)) == p
+
+
+def test_parse_poly_builds_one_multipoly(monkeypatch):
+    built = []
+    original = MultiPoly.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(MultiPoly, "__post_init__", counted)
+    cases = [(INTEGERS, "(x1 - 2*x2 + x3)^2 - 3*x1*(x2 + 5)"), (GF9, "t*x^3 - (y + 4t)^2")]
+    for domain, text in cases:
+        built.clear()
+        parse_poly(domain, text)
+        assert len(built) == 1
 
 
 def test_eval_examples():
@@ -127,6 +148,21 @@ def test_eval_field_matches_eval_ring_on_ring_points():
             point = tuple(enum_element(domain, rng.randrange(30)) for _ in range(2))
             field_point = tuple(field_from_ring(x) for x in point)
             assert eval_field(p, field_point) == field_from_ring(eval_ring(p, point))
+
+
+@pytest.mark.parametrize("domain", [INTEGERS, GF2, GF3, GF4])
+def test_eval_field_matches_stepwise_oracle(domain):
+    rng = random.Random(9)
+    nonzero = [enum_element(domain, i) for i in range(1, 12)]
+    for _ in range(80):
+        nvars = rng.randrange(1, 4)
+        p = random_poly(domain, nvars, rng, max_terms=5, max_deg=3)
+        numerators = [zero(domain)] + [rng.choice(nonzero) for _ in range(nvars - 1)]
+        rng.shuffle(numerators)  # a point with a zero coordinate
+        point = [frac_normalize(domain, n, rng.choice(nonzero)) for n in numerators]
+        assert eval_field(p, point) == eval_field_stepwise(p, point)
+        point = [frac_normalize(domain, rng.choice(nonzero), rng.choice(nonzero)) for _ in point]
+        assert eval_field(p, point) == eval_field_stepwise(p, point)
 
 
 def test_compose_against_direct_expansion():
@@ -241,7 +277,7 @@ def test_translation_invariance_matches_expansion_oracle(domain):
         exps = rng.choice(sorted(out.terms)) if rng.random() < 0.5 else None
         while not exps or not any(exps):
             exps = tuple(rng.randrange(3) for _ in range(out.nvars))
-        bump = MultiPoly(domain, out.nvars, {exps: enum_element(domain, rng.randrange(1, 9))})
+        bump = MultiPoly(domain, out.nvars, {exps: enum_element(domain, rng.randrange(1, 9)).value})
         perturbed = out + bump
         assert not is_translation_invariant(perturbed)
         assert not shifted_by_expansion(perturbed)
@@ -251,7 +287,7 @@ def element_fold(p, point):
     """eval_ring's value, folded on DomainElements by repeated multiplication."""
     total = from_int(p.domain, 0)
     for exps, coeff in p.terms.items():
-        term = coeff
+        term = DomainElement(p.domain, coeff)
         for x, e in zip(point, exps):
             for _ in range(e):
                 term = term * x
@@ -286,7 +322,7 @@ def test_substitute_first_agrees_with_eval_ring(domain):
         point = tuple(enum_element(domain, rng.randrange(40)) for _ in range(nvars))
         q = p.substitute_first(point[0])
         assert q.nvars == nvars - 1
-        assert all(not c.is_zero() for c in q.terms.values())
+        assert all(q.terms.values())
         assert eval_ring(q, point[1:]) == eval_ring(p, point)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import solve_in_span_on_elements
 from partreg.rado import (
     ColumnsWitness,
     LinearSystem,
@@ -21,6 +22,7 @@ from partreg.rings import (
     from_int,
     gf_poly_domain,
     parse_element,
+    zero,
 )
 
 GF2 = gf_poly_domain(2)
@@ -103,6 +105,47 @@ def _fraction_gauss_solvable(cols, target):
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         r += 1
     return all(a[i][k] == 0 for i in range(r, m))
+
+
+def _random_system(domain, rng, kind):
+    """(columns, target) of a random system that is inconsistent, rank-deficient
+    (consistent, with a dependent column) or full-rank (square, triangular up
+    to a row shuffle)."""
+
+    def pick(nonzero=False):
+        return enum_element(domain, rng.randrange(1 if nonzero else 0, 9))
+
+    k = rng.randrange(1, 4)
+    if kind == "inconsistent":  # every column has row 3 = row 1 + row 2; the target does not
+        columns = [[a, b, a + b] for a, b in ((pick(), pick()) for _ in range(k))]
+        a, b = pick(), pick()
+        return columns, [a, b, a + b + pick(nonzero=True)]
+    if kind == "rank-deficient":
+        columns = [[pick() for _ in range(3)] for _ in range(k)]
+        columns.append([x + y for x, y in zip(columns[0], columns[-1])])
+        coeffs = [pick() for _ in columns]
+        target = [
+            sum((c * column[i] for c, column in zip(coeffs, columns)), zero(domain))
+            for i in range(3)
+        ]
+        return columns, target
+    rows = [
+        [pick(nonzero=True) if i == j else pick() if i < j else zero(domain) for j in range(k)]
+        for i in range(k)
+    ]
+    rng.shuffle(rows)
+    return [[row[j] for row in rows] for j in range(k)], [pick() for _ in range(k)]
+
+
+@pytest.mark.parametrize("domain", [INTEGERS, GF2, GF3, GF4])
+@pytest.mark.parametrize("kind", ["inconsistent", "rank-deficient", "full-rank"])
+def test_solve_in_span_matches_element_oracle(domain, kind):
+    rng = random.Random(25)
+    for _ in range(40):
+        columns, target = _random_system(domain, rng, kind)
+        sol = solve_in_span(domain, columns, target)
+        assert sol == solve_in_span_on_elements(domain, columns, target)
+        assert (sol is None) == (kind == "inconsistent")
 
 
 # ---------------------------------------------------------------------------

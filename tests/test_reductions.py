@@ -40,11 +40,11 @@ def random_poly(domain, nvars, rng, max_terms=3, max_deg=3, coeff_pool=12):
     terms = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
         exps = tuple(rng.randrange(max_deg + 1) for _ in range(nvars))
-        coeff = enum_element(domain, rng.randrange(1, coeff_pool))
-        if not coeff.is_zero():
+        coeff = enum_element(domain, rng.randrange(1, coeff_pool)).value
+        if coeff:
             terms[exps] = coeff
     if not terms:
-        terms[(1,) + (0,) * (nvars - 1)] = enum_element(domain, 1)
+        terms[(1,) + (0,) * (nvars - 1)] = enum_element(domain, 1).value
     return MultiPoly(domain, nvars, terms)
 
 

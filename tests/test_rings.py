@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import is_irreducible_by_trial_division
 from partreg import rings
 from partreg.rings import (
     INTEGERS,
@@ -352,6 +353,15 @@ def test_factor_prime_power_matches_factorint():
         except ValueError:
             got = None
         assert got == expected, q
+
+
+@pytest.mark.parametrize("domain", [GF2, GF3, GF4])
+def test_rabin_irreducibility_matches_trial_division(domain):
+    q = domain.q
+    for degree in range(7):
+        for index in range(q**degree, 2 * q**degree):  # the monic polynomials of this degree
+            f = enum_element(domain, index)
+            assert rings.is_irreducible(f) == is_irreducible_by_trial_division(f), str(f)
 
 
 def test_large_prime_field_parses_fast():

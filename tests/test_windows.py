@@ -46,11 +46,11 @@ def random_poly(domain, nvars, rng, max_terms=3, max_deg=2, coeff_pool=8):
     terms = {}
     for _ in range(rng.randrange(1, max_terms + 1)):
         exps = tuple(rng.randrange(max_deg + 1) for _ in range(nvars))
-        coeff = enum_element(domain, rng.randrange(1, coeff_pool))
-        if not coeff.is_zero():
+        coeff = enum_element(domain, rng.randrange(1, coeff_pool)).value
+        if coeff:
             terms[exps] = coeff
     if not terms:
-        terms[(1,) + (0,) * (nvars - 1)] = enum_element(domain, 1)
+        terms[(1,) + (0,) * (nvars - 1)] = enum_element(domain, 1).value
     return MultiPoly(domain, nvars, terms)
 
 
@@ -64,9 +64,9 @@ def separable_poly(domain, nvars, rng):
     if nvars > 1:
         f = random_poly(domain, nvars - 1, rng, max_terms=4)
         terms = {exps + (0,): coeff for exps, coeff in f.terms.items()}
-    terms[(0,) * nvars] = enum_element(domain, rng.randrange(8))
+    terms[(0,) * nvars] = enum_element(domain, rng.randrange(8)).value
     for _ in range(rng.randrange(1, 3)):
-        terms[(0,) * (nvars - 1) + (rng.randrange(1, 4),)] = enum_element(domain, rng.randrange(1, 8))
+        terms[(0,) * (nvars - 1) + (rng.randrange(1, 4),)] = enum_element(domain, rng.randrange(1, 8)).value
     return MultiPoly(domain, nvars, terms)
 
 
