@@ -87,7 +87,6 @@ def make_certificate(
     mode=None,
     injective=None,
     coloring_spec=None,
-    elapsed_ms=None,
 ):
     doc = {
         "schema": SCHEMA_VERSION,
@@ -110,13 +109,12 @@ def make_certificate(
         "mode": mode,
         "injective": injective,
         "coloring_spec": None if coloring_spec is None else str(coloring_spec),
-        "elapsed_ms": elapsed_ms,
     }
     doc.update((key, value) for key, value in fields.items() if value is not None)
     return doc
 
 
-def from_window_certificate(cert, poly, var_names=None, command=None, elapsed_ms=None):
+def from_window_certificate(cert, poly, var_names=None, command=None):
     return make_certificate(
         cert.kind,
         cert.window.domain,
@@ -129,7 +127,6 @@ def from_window_certificate(cert, poly, var_names=None, command=None, elapsed_ms
         delta=cert.delta,
         mode=cert.mode,
         injective=cert.injective,
-        elapsed_ms=elapsed_ms,
     )
 
 
@@ -197,6 +194,13 @@ def verify_certificate(doc):
         return False, f"malformed certificate: {exc}"
 
 
+def _element_at(window, position):
+    """The element at a window position; one outside the window is malformed."""
+    if not 0 <= position < len(window):
+        raise IndexError(f"window position {position} out of range")
+    return window.elements[position]
+
+
 def _check(doc, kind, domain):
     if "poly" in _FIELDS[kind]:
         p = polys.poly_from_records(domain, doc["poly"])
@@ -226,7 +230,7 @@ def _check(doc, kind, domain):
     if kind == "PartitionCertified":
         constant_root = doc["payload"].get("constant_root")
         if constant_root is not None:
-            value = window.elements[constant_root]
+            value = _element_at(window, constant_root)
             point = tuple(value for _ in range(p.nvars))
             if not polys.eval_ring(p, point).is_zero():
                 return False, "claimed constant root does not vanish"
@@ -263,7 +267,7 @@ def _check(doc, kind, domain):
         return True, message
     if kind == "MonochromaticRoot":
         spec = colorings.parse_coloring_spec(domain, doc["coloring_spec"])
-        values = tuple(window.elements[i] for i in doc["payload"]["tuple"])
+        values = tuple(_element_at(window, i) for i in doc["payload"]["tuple"])
         if not polys.eval_ring(p, values).is_zero():
             return False, "claimed tuple is not a root"
         palette = {colorings.color_of(spec, v) for v in values}
@@ -281,7 +285,7 @@ def _check(doc, kind, domain):
     if kind == "DisjointSolutions":
         used = set()
         for indices in doc["payload"]["tuples"]:
-            values = tuple(window.elements[i] for i in indices)
+            values = tuple(_element_at(window, i) for i in indices)
             if not polys.eval_ring(p, values).is_zero():
                 return False, "claimed tuple is not a root"
             value_set = set(values)
@@ -291,7 +295,7 @@ def _check(doc, kind, domain):
         return True, "disjoint root tuples verified"
     if kind == "Roots":
         for indices in doc["payload"]["tuples"]:
-            values = tuple(window.elements[i] for i in indices)
+            values = tuple(_element_at(window, i) for i in indices)
             if not polys.eval_ring(p, values).is_zero():
                 return False, "listed tuple is not a root"
         return True, "all listed tuples are roots"

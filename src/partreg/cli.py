@@ -4,6 +4,12 @@ Exit codes encode the fundamental asymmetry of the problem: 0 means a
 definitive verdict (a certificate, a complete decision, a found object),
 2 means inconclusive evidence (an exhausted search budget or a clean
 refutation scan), 1 means a usage or input error, or a failed verification.
+
+main parses every input once, in one order (domain, polynomial, coloring,
+window, matrix), so a malformed input fails the same way in every command.
+Each _cmd_* then runs its engine and returns (certificate document or None,
+report lines, exit code).  main alone times that run, stamps the document's
+elapsed_ms and writes it to --out or prints it for --print-cert.
 """
 
 from __future__ import annotations
@@ -40,229 +46,143 @@ def _parse_matrix(domain, text):
     return rado.LinearSystem(domain, entries)
 
 
-def _emit(doc, args, report_lines):
-    for line in report_lines:
-        print(line)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as handle:
-            handle.write(certs.dumps(doc) + "\n")
-        print(f"certificate written to {args.out}")
-    elif getattr(args, "print_cert", False):
-        print(certs.dumps(doc))
+def _parse_inputs(args):
+    """Replace each textual input of args by its parsed value."""
+    domain = args.domain = rings.parse_domain(args.domain)
+    if getattr(args, "poly", None) is not None:
+        args.poly, args.var_names = polys.parse_poly(domain, args.poly)
+    if getattr(args, "coloring", None) is not None:
+        args.coloring = colorings.parse_coloring_spec(domain, args.coloring)
+    if getattr(args, "window", None) is not None:
+        args.window = _parse_window(domain, args.window)
+    if getattr(args, "matrix", None) is not None:
+        args.matrix = _parse_matrix(domain, args.matrix)
+
+
+def _tuple_text(values):
+    return "(" + ", ".join(str(v) for v in values) + ")"
+
+
+def _window_doc(args, cert):
+    return certs.from_window_certificate(cert, args.poly, args.var_names, args.argv)
+
+
+def _doc(args, kind, payload=None, **fields):
+    """A certificate of kind that records the parsed inputs of args."""
+    inputs = ("poly", "var_names", "window", "matrix", "injective")
+    fields.update((key, getattr(args, key, None)) for key in inputs)
+    return certs.make_certificate(kind, args.domain, command=args.argv, payload=payload, **fields)
 
 
 def _cmd_linear(args):
-    domain = rings.parse_domain(args.domain)
-    system = _parse_matrix(domain, args.matrix)
-    start = time.monotonic()
-    witness = rado.columns_condition(system, force=args.force)
-    elapsed = int((time.monotonic() - start) * 1000)
+    witness = rado.columns_condition(args.matrix, force=args.force)
     if witness is None:
-        doc = certs.make_certificate(
-            "NoColumnsWitness",
-            domain,
-            command=args.argv,
-            matrix=system,
-            elapsed_ms=elapsed,
-        )
-        _emit(doc, args, ["verdict: NOT partition regular (no columns-condition witness)"])
-        return EXIT_DEFINITIVE
-    doc = certs.make_certificate(
-        "ColumnsWitness",
-        domain,
-        command=args.argv,
-        matrix=system,
-        payload=certs.witness_to_json(witness),
-        elapsed_ms=elapsed,
-    )
-    cells = ", ".join("{" + ",".join(str(j + 1) for j in cell) + "}" for cell in witness.cells)
-    _emit(doc, args, [f"verdict: partition regular; witness cells (1-based): {cells}"])
-    return EXIT_DEFINITIVE
+        kind, payload = "NoColumnsWitness", None
+        line = "verdict: NOT partition regular (no columns-condition witness)"
+    else:
+        kind, payload = "ColumnsWitness", certs.witness_to_json(witness)
+        cells = ", ".join("{" + ",".join(str(j + 1) for j in cell) + "}" for cell in witness.cells)
+        line = f"verdict: partition regular; witness cells (1-based): {cells}"
+    return _doc(args, kind, payload), [line], EXIT_DEFINITIVE
 
 
 def _cmd_search(args):
-    domain = rings.parse_domain(args.domain)
-    p, names = polys.parse_poly(domain, args.poly)
-    start = time.monotonic()
-    result = windows.semidecide_l_pr(p, args.colors, args.injective, args.budget)
-    elapsed = int((time.monotonic() - start) * 1000)
-    cert = result.certificate
-    doc = certs.from_window_certificate(cert, p, names, args.argv, elapsed)
-    if result.status == "certified":
-        _emit(
-            doc,
-            args,
-            [
-                f"verdict: PartitionCertified with {args.colors} colors "
-                f"on window {cert.window.provenance} (|w|={len(cert.window)})"
-            ],
-        )
-        return EXIT_DEFINITIVE
-    doc["kind"] = "Exhausted"
-    _emit(
-        doc,
-        args,
-        [
+    cert = windows.semidecide_l_pr(args.poly, args.colors, args.injective, args.budget)
+    if cert.kind == "Exhausted":
+        line = (
             f"verdict: Exhausted after budget {args.budget} (inconclusive; "
             "largest window is still colorable)"
-        ],
+        )
+        return _window_doc(args, cert), [line], EXIT_INCONCLUSIVE
+    line = (
+        f"verdict: PartitionCertified with {args.colors} colors "
+        f"on window {cert.window.provenance} (|w|={len(cert.window)})"
     )
-    return EXIT_INCONCLUSIVE
+    return _window_doc(args, cert), [line], EXIT_DEFINITIVE
 
 
 def _cmd_window(args):
-    domain = rings.parse_domain(args.domain)
-    p, names = polys.parse_poly(domain, args.poly)
-    window = _parse_window(domain, args.window)
-    start = time.monotonic()
-    cert = windows.check_window_l_pr(p, window, args.colors, args.injective)
-    elapsed = int((time.monotonic() - start) * 1000)
-    doc = certs.from_window_certificate(cert, p, names, args.argv, elapsed)
+    cert = windows.check_window_l_pr(args.poly, args.window, args.colors, args.injective)
     if cert.kind == "PartitionCertified":
-        _emit(doc, args, [f"verdict: PartitionCertified on {window.provenance}"])
+        line = f"verdict: PartitionCertified on {args.window.provenance}"
     else:
-        _emit(doc, args, [f"verdict: PartitionColorable; coloring {list(cert.coloring)}"])
-    return EXIT_DEFINITIVE
+        line = f"verdict: PartitionColorable; coloring {list(cert.coloring)}"
+    return _window_doc(args, cert), [line], EXIT_DEFINITIVE
 
 
 def _cmd_density(args):
-    domain = rings.parse_domain(args.domain)
-    p, names = polys.parse_poly(domain, args.poly)
-    window = _parse_window(domain, args.window)
     delta = Fraction(args.delta)
-    start = time.monotonic()
-    cert = windows.density_window_check(p, window, delta, args.mode, args.injective)
-    elapsed = int((time.monotonic() - start) * 1000)
-    doc = certs.from_window_certificate(cert, p, names, args.argv, elapsed)
+    cert = windows.density_window_check(args.poly, args.window, delta, args.mode, args.injective)
     note = "" if cert.transferable else " (NOT transferable beyond this window)"
     if cert.kind == "DensityCertified":
-        _emit(
-            doc,
-            args,
-            [f"verdict: DensityCertified at delta={delta}{note}; max avoider {cert.max_avoider_size}"],
-        )
+        size = cert.max_avoider_size
+        line = f"verdict: DensityCertified at delta={delta}{note}; max avoider {size}"
     else:
-        values = [str(window.elements[i]) for i in cert.avoider]
-        _emit(doc, args, [f"verdict: DensityAvoider of size {len(values)}: {values}{note}"])
-    return EXIT_DEFINITIVE
+        values = [str(args.window.elements[i]) for i in cert.avoider]
+        line = f"verdict: DensityAvoider of size {len(values)}: {values}{note}"
+    return _window_doc(args, cert), [line], EXIT_DEFINITIVE
 
 
 def _cmd_roots(args):
-    domain = rings.parse_domain(args.domain)
-    p, names = polys.parse_poly(domain, args.poly)
-    window = _parse_window(domain, args.window)
-    fields = dict(
-        command=args.argv, poly=p, var_names=names, window=window, injective=args.injective
-    )
-    start = time.monotonic()
+    p, window = args.poly, args.window
     if args.disjoint is not None:
         solutions = windows.disjoint_solutions(p, window, args.disjoint, args.injective)
-        elapsed = int((time.monotonic() - start) * 1000)
         if solutions is None:
-            print(f"no {args.disjoint} coordinate-disjoint root tuples in the window")
-            return EXIT_INCONCLUSIVE
+            line = f"no {args.disjoint} coordinate-disjoint root tuples in the window"
+            return None, [line], EXIT_INCONCLUSIVE
         index_of = window.index_of()
         payload = {"tuples": [[index_of[v] for v in tup] for tup in solutions]}
-        doc = certs.make_certificate(
-            "DisjointSolutions", domain, payload=payload, elapsed_ms=elapsed, **fields
-        )
-        lines = ["disjoint root tuples:"] + [
-            "  (" + ", ".join(str(v) for v in tup) + ")" for tup in solutions
-        ]
-        _emit(doc, args, lines)
-        return EXIT_DEFINITIVE
+        lines = ["disjoint root tuples:"] + ["  " + _tuple_text(tup) for tup in solutions]
+        return _doc(args, "DisjointSolutions", payload), lines, EXIT_DEFINITIVE
     hypergraph = windows.enumerate_roots(p, window, args.injective)
-    elapsed = int((time.monotonic() - start) * 1000)
     payload = {
         "tuples": [list(t) for t in hypergraph.tuples],
         "edges": [list(e) for e in hypergraph.edges],
     }
-    doc = certs.make_certificate("Roots", domain, payload=payload, elapsed_ms=elapsed, **fields)
     lines = [f"{len(hypergraph.tuples)} root tuples, {len(hypergraph.edges)} edges"]
-    for tup in hypergraph.tuples[:50]:
-        lines.append("  (" + ", ".join(str(v) for v in hypergraph.value_tuple(tup)) + ")")
+    lines += ["  " + _tuple_text(hypergraph.value_tuple(t)) for t in hypergraph.tuples[:50]]
     if len(hypergraph.tuples) > 50:
         lines.append(f"  ... {len(hypergraph.tuples) - 50} more")
-    _emit(doc, args, lines)
-    return EXIT_DEFINITIVE
+    return _doc(args, "Roots", payload), lines, EXIT_DEFINITIVE
 
 
 def _cmd_refute(args):
-    domain = rings.parse_domain(args.domain)
-    p, names = polys.parse_poly(domain, args.poly)
-    spec = colorings.parse_coloring_spec(domain, args.coloring)
-    window = _parse_window(domain, args.window)
-    start = time.monotonic()
-    hit = colorings.refutation_scan(p, spec, window, args.injective)
-    elapsed = int((time.monotonic() - start) * 1000)
-    fields = dict(
-        command=args.argv,
-        poly=p,
-        var_names=names,
-        window=window,
-        coloring_spec=spec,
-        injective=args.injective,
-        elapsed_ms=elapsed,
-    )
+    spec, window = args.coloring, args.window
+    hit = colorings.refutation_scan(args.poly, spec, window, args.injective)
     if hit is None:
-        doc = certs.make_certificate("Clean", domain, **fields)
-        _emit(
-            doc,
-            args,
-            [
-                f"verdict: Clean under {spec} on {window.provenance} "
-                "(evidence of non-regularity, not proof)"
-            ],
+        kind, payload, code = "Clean", None, EXIT_INCONCLUSIVE
+        line = (
+            f"verdict: Clean under {spec} on {window.provenance} "
+            "(evidence of non-regularity, not proof)"
         )
-        return EXIT_INCONCLUSIVE
-    index_of = window.index_of()
-    payload = {"tuple": [index_of[v] for v in hit]}
-    doc = certs.make_certificate("MonochromaticRoot", domain, payload=payload, **fields)
-    _emit(
-        doc,
-        args,
-        ["verdict: MonochromaticRoot (" + ", ".join(str(v) for v in hit) + f") under {spec}"],
-    )
-    return EXIT_DEFINITIVE
+    else:
+        kind, code = "MonochromaticRoot", EXIT_DEFINITIVE
+        payload = {"tuple": [window.index_of()[v] for v in hit]}
+        line = f"verdict: MonochromaticRoot {_tuple_text(hit)} under {spec}"
+    return _doc(args, kind, payload, coloring_spec=spec), [line], code
 
 
 def _cmd_reduce(args):
-    domain = rings.parse_domain(args.domain)
-    p, names = polys.parse_poly(domain, args.poly)
-    start = time.monotonic()
-    report = reductions.apply_transform(p, args.transform, var_index=args.gate_var)
-    elapsed = int((time.monotonic() - start) * 1000)
-    doc = certs.make_certificate(
-        "Reduction",
-        domain,
-        command=args.argv,
-        poly=p,
-        var_names=names,
-        payload={
-            "transform": args.transform,
-            "var_index": args.gate_var,
-            "output_poly": polys.poly_to_records(report.output),
-            "verified": list(report.verified),
-        },
-        elapsed_ms=elapsed,
-    )
-    _emit(
-        doc,
-        args,
-        [
-            f"output ({report.output.nvars} vars): {report.output}",
-            f"verified: {', '.join(report.verified) or '(none)'}",
-        ],
-    )
-    return EXIT_DEFINITIVE
+    report = reductions.apply_transform(args.poly, args.transform, var_index=args.gate_var)
+    payload = {
+        "transform": args.transform,
+        "var_index": args.gate_var,
+        "output_poly": polys.poly_to_records(report.output),
+        "verified": list(report.verified),
+    }
+    lines = [
+        f"output ({report.output.nvars} vars): {report.output}",
+        f"verified: {', '.join(report.verified) or '(none)'}",
+    ]
+    return _doc(args, "Reduction", payload), lines, EXIT_DEFINITIVE
 
 
 def _cmd_verify(args):
     with open(args.file) as handle:
         doc = certs.loads(handle.read())
     ok, message = certs.verify_certificate(doc)
-    print(f"{'VALID' if ok else 'INVALID'}: {message}")
-    return EXIT_DEFINITIVE if ok else EXIT_ERROR
+    code = EXIT_DEFINITIVE if ok else EXIT_ERROR
+    return None, [f"{'VALID' if ok else 'INVALID'}: {message}"], code
 
 
 @functools.cache
@@ -343,7 +263,22 @@ def main(argv=None):
     if args.command == "density":
         args.mode = {"add": "additive", "mul": "multiplicative"}[args.mode]
     try:
-        return args.func(args)
+        if args.command != "verify":
+            _parse_inputs(args)
+        start = time.monotonic()
+        doc, report_lines, code = args.func(args)
+        elapsed = int((time.monotonic() - start) * 1000)
+        for line in report_lines:
+            print(line)
+        if doc is not None:
+            doc["elapsed_ms"] = elapsed
+            if args.out:
+                with open(args.out, "w") as handle:
+                    handle.write(certs.dumps(doc) + "\n")
+                print(f"certificate written to {args.out}")
+            elif args.print_cert:
+                print(certs.dumps(doc))
+        return code
     except (ParseError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

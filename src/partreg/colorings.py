@@ -44,13 +44,6 @@ class ColoringSpec:
         else:
             raise ValueError(f"unknown coloring family {self.family!r}")
 
-    @property
-    def num_colors(self):
-        if self.family == "DigitBaseP":
-            base = self.p - 1
-            return 2 * base if self.signed else base
-        return self.modulus
-
     def __str__(self):
         if self.family == "DigitBaseP":
             suffix = (":msd" if self.msd else "") + (":signed" if self.signed else "")

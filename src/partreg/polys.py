@@ -131,13 +131,6 @@ class MultiPoly:
         raw = substitute_first_raw(ops, self.terms, RawPowers(ops.pow, value.value))
         return MultiPoly(domain, self.nvars - 1, raw)
 
-    def lift(self, nvars):
-        """Reinterpret in a larger ring; new trailing variables are unused."""
-        if nvars < self.nvars:
-            raise ValueError("cannot drop variables")
-        pad = (0,) * (nvars - self.nvars)
-        return MultiPoly(self.domain, nvars, {e + pad: c for e, c in self.terms.items()})
-
     def __str__(self):
         return poly_to_string(self)
 

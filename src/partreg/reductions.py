@@ -119,6 +119,10 @@ def diffquotient4_homogenize(p):
 
 
 def _gate_blocks(p, mode, var_index):
+    if not 0 <= var_index < p.nvars:
+        raise ValueError("gated variable index out of range")
+    if mode not in ("multiplicative", "additive"):
+        raise ValueError("mode must be 'multiplicative' or 'additive'")
     n, domain = p.nvars, p.domain
     blocks = [(MultiPoly.variable(domain, n + 1, i), None) for i in range(n)]
     if mode == "multiplicative":
@@ -134,10 +138,6 @@ def ratio_gate(p, mode, var_index):
     The gated variable keeps its position (it becomes y1); y2 is appended as
     the new last variable.
     """
-    if not 0 <= var_index < p.nvars:
-        raise ValueError("gated variable index out of range")
-    if mode not in ("multiplicative", "additive"):
-        raise ValueError("mode must be 'multiplicative' or 'additive'")
     return _substitute_and_clear(p, _gate_blocks(p, mode, var_index))
 
 
@@ -176,18 +176,19 @@ def _identity_sampled(p, out, blocks, rng, samples=25):
 def apply_transform(p, transform_id, var_index=0, rng=None):
     """Run a transform and re-verify its advertised structural properties."""
     rng = rng or random.Random(0)
-    verified = []
     if transform_id == "shift":
-        out, blocks = htp_shift(p), _shift_blocks(p)
+        blocks = _shift_blocks(p)
     elif transform_id == "q3":
-        out, blocks = quotient3_homogenize(p), _q3_blocks(p, range(p.nvars))
+        blocks = _q3_blocks(p, range(p.nvars))
     elif transform_id == "dq4":
-        out, blocks = diffquotient4_homogenize(p), _dq4_blocks(p)
+        blocks = _dq4_blocks(p)
     elif transform_id in ("gate:mul", "gate:add"):
         mode = "multiplicative" if transform_id == "gate:mul" else "additive"
-        out, blocks = ratio_gate(p, mode, var_index), _gate_blocks(p, mode, var_index)
+        blocks = _gate_blocks(p, mode, var_index)
     else:
         raise ValueError(f"unknown transform {transform_id!r}")
+    out = _substitute_and_clear(p, blocks)
+    verified = []
     if transform_id in ("q3", "dq4"):
         if not p.is_zero() and is_homogeneous(out) == p.nvars * p.degree():
             verified.append("homogeneous")

@@ -15,14 +15,11 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import __version__
 from .polys import RawPowers, is_homogeneous, is_translation_invariant, substitute_first_raw
-from .rings import DomainTag, enumeration_scheme_id, from_int, nonzero_prefix
-
-TOOL_VERSION = __version__
+from .rings import DomainTag, from_int, nonzero_prefix
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,7 @@ class RootHypergraph:
 
 @dataclass
 class WindowCertificate:
-    kind: str  # PartitionCertified | PartitionColorable | DensityCertified | DensityAvoider
+    kind: str  # Partition{Certified,Colorable} | Exhausted | Density{Certified,Avoider}
     window: Window
     colors: int | None = None
     delta: Fraction | None = None
@@ -100,15 +97,6 @@ class WindowCertificate:
     max_avoider_size: int | None = None
     constant_root: int | None = None  # window position of a constant root
     transferable: bool | None = None
-    scheme: str = ""
-    tool_version: str = TOOL_VERSION
-
-
-@dataclass
-class SemidecideResult:
-    status: str  # "certified" | "exhausted"
-    certificate: WindowCertificate
-    budget: int
 
 
 # ---------------------------------------------------------------------------
@@ -383,26 +371,24 @@ def check_window_l_pr(p, window, colors, injective=False):
         injective=injective,
         coloring=coloring,
         constant_root=constant_root,
-        scheme=enumeration_scheme_id(window.domain),
     )
 
 
 def semidecide_l_pr(p, colors, injective=False, budget=20):
     """Grow enumeration-prefix windows until one certifies, or give up.
 
-    A certificate is unconditional (compactness); Exhausted is inconclusive
-    and never a refutation.
+    Returns the first PartitionCertified window certificate, or an Exhausted
+    one carrying the coloring of the last window tried.  A certificate is
+    unconditional (compactness); Exhausted is inconclusive and never a
+    refutation.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
-    last = None
     for k in range(1, budget + 1):
-        window = Window.enumeration_prefix(p.domain, k)
-        cert = check_window_l_pr(p, window, colors, injective)
+        cert = check_window_l_pr(p, Window.enumeration_prefix(p.domain, k), colors, injective)
         if cert.kind == "PartitionCertified":
-            return SemidecideResult("certified", cert, budget)
-        last = cert
-    return SemidecideResult("exhausted", last, budget)
+            return cert
+    return replace(cert, kind="Exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +473,6 @@ def density_window_check(p, window, delta, mode="additive", injective=False):
         avoider=None if certified else avoider,
         max_avoider_size=len(avoider),
         transferable=transferable,
-        scheme=enumeration_scheme_id(window.domain),
     )
 
 

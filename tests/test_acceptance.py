@@ -80,9 +80,9 @@ def test_criterion_1_schur_pipeline():
     witness = columns_condition(system)
     assert witness is not None and verify_witness(system, witness)
 
-    result = semidecide_l_pr(SCHUR, 2, budget=10)
-    assert result.status == "certified"
-    assert len(result.certificate.window) <= 10
+    cert = semidecide_l_pr(SCHUR, 2, budget=10)
+    assert cert.kind == "PartitionCertified"
+    assert len(cert.window) <= 10
 
     # oracle: [1..4] is 2-colorable, [1..5] is not (all 2^5 colorings)
     assert exhaustive_coloring(SCHUR, Window.interval(INTEGERS, 1, 4), 2) is not None
@@ -247,8 +247,7 @@ def test_criterion_6_char2():
     assert verify_witness(system, witness)
 
     p = pp(GF2, "x + y - z", var_order=["x", "y", "z"])
-    result = semidecide_l_pr(p, 1, budget=8)
-    assert result.status == "certified"
+    assert semidecide_l_pr(p, 1, budget=8).kind == "PartitionCertified"
     assert time.monotonic() - start < 1.0
 
 

@@ -158,10 +158,8 @@ def every_kind_documents():
             "Clean", INTEGERS, poly=DOUBLING, window=window, coloring_spec=spec, injective=False
         )
     )
-    last = semidecide_l_pr(DOUBLING, 2, budget=5).certificate
-    exhausted = from_window_certificate(last, DOUBLING)
-    exhausted["kind"] = "Exhausted"
-    docs.append(exhausted)
+    exhausted = semidecide_l_pr(DOUBLING, 2, budget=5)
+    docs.append(from_window_certificate(exhausted, DOUBLING))
     window = Window.interval(INTEGERS, 1, 12)
     tuples = disjoint_solutions(SCHUR, window, 2, injective=True)
     docs.append(
@@ -309,6 +307,36 @@ def test_constant_root_needs_non_injective_roots():
     # x = y = z is no root once coordinates must be distinct
     ok, message = verify_certificate(dict(doc, injective=True))
     assert not ok, message
+
+
+def _shift_positions(doc, offset):
+    payload = doc["payload"]
+    if doc["kind"] == "PartitionCertified":
+        payload["constant_root"] += offset
+    elif doc["kind"] == "MonochromaticRoot":
+        payload["tuple"] = [i + offset for i in payload["tuple"]]
+    else:
+        payload["tuples"] = [[i + offset for i in t] for t in payload["tuples"]]
+
+
+@pytest.mark.parametrize(
+    "kind", ["PartitionCertified", "MonochromaticRoot", "DisjointSolutions", "Roots"]
+)
+def test_positions_outside_the_window_are_malformed(kind):
+    # negative positions once verified through Python's negative indexing
+    doc = next(
+        d
+        for d in every_kind_documents()
+        if d["kind"] == kind and (kind != "PartitionCertified" or "constant_root" in d["payload"])
+    )
+    assert verify_certificate(doc)[0]
+    size = len(doc["window"]["elements"])
+    for offset in (-size, size):
+        shifted = copy.deepcopy(doc)
+        _shift_positions(shifted, offset)
+        ok, message = verify_certificate(shifted)
+        assert not ok
+        assert message.startswith("malformed certificate: window position")
 
 
 def test_known_leaks_are_malformed_not_raised():

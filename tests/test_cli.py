@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import partreg
 from partreg.cli import EXIT_DEFINITIVE, EXIT_ERROR, EXIT_INCONCLUSIVE, main
 
@@ -194,6 +196,57 @@ def test_reduce_q3(capsys):
 
 
 # ---------------------------------------------------------------------------
+# one emit path for every kind
+# ---------------------------------------------------------------------------
+
+EMITTED = {
+    "ColumnsWitness": ["linear", "--matrix", "1 1 -1"],
+    "NoColumnsWitness": ["linear", "--matrix", "1 -2"],
+    "PartitionCertified": ["window", "--poly", "x+y-z", "--colors", "2", "--window", "1..5"],
+    "PartitionColorable": ["window", "--poly", "x+y-z", "--colors", "2", "--window", "1..4"],
+    "Exhausted": ["search", "--poly", "x-2*y", "--colors", "2", "--budget", "5"],
+    "DensityCertified": [
+        "density", "--poly", "x+y-2*z", "--window", "1..9", "--delta", "0.6", "--injective"
+    ],
+    "DensityAvoider": [
+        "density", "--poly", "x+y-2*z", "--window", "1..9", "--delta", "5/9", "--injective"
+    ],
+    "Roots": ["roots", "--poly", "x+y-z", "--window", "1..5"],
+    "DisjointSolutions": [
+        "roots", "--poly", "x+y-z", "--window", "1..12", "--disjoint", "2", "--injective"
+    ],
+    "MonochromaticRoot": [
+        "refute", "--poly", "x+y-z", "--coloring", "basep:3", "--window", "1..10"
+    ],
+    "Clean": ["refute", "--poly", "x-2*y", "--coloring", "basep:3", "--window", "1..20"],
+    "Reduction": ["reduce", "--poly", "x^2 - 2", "--transform", "q3"],
+}
+
+
+@pytest.mark.parametrize("kind", list(EMITTED))
+def test_every_kind_is_emitted_alike(kind, capsys, tmp_path):
+    argv = EMITTED[kind]
+    path = tmp_path / "cert.json"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == (EXIT_INCONCLUSIVE if kind in ("Exhausted", "Clean") else EXIT_DEFINITIVE)
+    written_line = f"certificate written to {path}\n"
+    assert out.endswith(written_line)
+    report = out[: -len(written_line)]
+    printed_code, printed, _ = run(capsys, *argv, "--print-cert")
+    assert printed_code == code
+    assert printed.startswith(report)
+    written, printed = json.loads(path.read_text()), json.loads(printed[len(report) :])
+    for doc, extra in ((written, ["--out", str(path)]), (printed, ["--print-cert"])):
+        assert doc.pop("command") == argv + extra
+        assert isinstance(doc.pop("elapsed_ms"), int)
+    assert written == printed
+    assert written["kind"] == kind
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == EXIT_DEFINITIVE
+    assert out.startswith("VALID")
+
+
+# ---------------------------------------------------------------------------
 # verify round trip and errors
 # ---------------------------------------------------------------------------
 
@@ -257,6 +310,9 @@ def test_bad_input_is_exit_1(capsys):
         ["roots", "--poly", "x+y-z", "--window", "1..6", "--disjoint", "0"],
         ["window", "--poly", "x+y-z", "--colors", "2", "--window", "prefix:0"],
         ["window", "--poly", "x+y-z", "--colors", "2", "--window", "prefix:-3"],
+        # a gate index outside the variables must not wrap around
+        ["reduce", "--poly", "x*y-2", "--transform", "gate:mul", "--gate-var", "-1"],
+        ["reduce", "--poly", "x*y-2", "--transform", "gate:add", "--gate-var", "2"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_ERROR, ""), argv

@@ -275,23 +275,22 @@ def test_certification_is_monotone_in_prefix_windows():
 
 
 def test_semidecide_schur():
-    result = semidecide_l_pr(SCHUR, 2, budget=12)
-    assert result.status == "certified"
-    assert result.certificate.kind == "PartitionCertified"
-    assert result.certificate.window.provenance == "prefix:9"
+    cert = semidecide_l_pr(SCHUR, 2, budget=12)
+    assert cert.kind == "PartitionCertified"
+    assert cert.window.provenance == "prefix:9"
 
 
 def test_semidecide_exhaustion_is_inconclusive():
     p = pp(INTEGERS, "x - 2*y", var_order=["x", "y"])
-    result = semidecide_l_pr(p, 2, budget=6)
-    assert result.status == "exhausted"
-    assert result.certificate.kind == "PartitionColorable"
+    cert = semidecide_l_pr(p, 2, budget=6)
+    assert cert.kind == "Exhausted"
+    assert cert.window.provenance == "prefix:6"
+    assert cert.coloring == check_window_l_pr(p, cert.window, 2).coloring
 
 
 def test_semidecide_char2_linear():
     p = pp(GF2, "x + y + z", var_order=["x", "y", "z"])
-    result = semidecide_l_pr(p, 1, budget=8)
-    assert result.status == "certified"
+    assert semidecide_l_pr(p, 1, budget=8).kind == "PartitionCertified"
 
 
 # ---------------------------------------------------------------------------
