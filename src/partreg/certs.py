@@ -13,10 +13,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from . import __version__, colorings, polys, rado, rings, windows
+from . import __version__, colorings, polys, rado, reductions, rings, windows
 
 SCHEMA_VERSION = 1
-TOOL_VERSION = __version__
 
 
 # ---------------------------------------------------------------------------
@@ -37,12 +36,8 @@ def window_from_json(domain, data):
 
 
 def witness_to_json(witness):
-    return {
-        "cells": [list(cell) for cell in witness.cells],
-        "combos": [
-            {str(col): str(coeff) for col, coeff in combo.items()} for combo in witness.combos
-        ],
-    }
+    combos = [{str(col): str(coeff) for col, coeff in combo.items()} for combo in witness.combos]
+    return {"cells": [list(cell) for cell in witness.cells], "combos": combos}
 
 
 def witness_from_json(domain, data):
@@ -62,71 +57,54 @@ def matrix_from_json(domain, data):
     return rado.LinearSystem(domain, entries)
 
 
-def _window_cert_payload(cert):
-    fields = {
-        "coloring": None if cert.coloring is None else list(cert.coloring),
-        "avoider": None if cert.avoider is None else list(cert.avoider),
-        "max_avoider_size": cert.max_avoider_size,
-        "constant_root": cert.constant_root,
-        "transferable": cert.transferable,
-    }
-    return {key: value for key, value in fields.items() if value is not None}
+def _as_is(*args):
+    """Encode (value) or decode (domain, data) a field that JSON holds unchanged."""
+    return args[-1]
 
 
-def make_certificate(
-    kind,
-    domain,
-    command=None,
-    poly=None,
-    var_names=None,
-    matrix=None,
-    window=None,
-    payload=None,
-    colors=None,
-    delta=None,
-    mode=None,
-    injective=None,
-    coloring_spec=None,
-):
+# field -> (encode(value), decode(domain, data)): the format make_certificate and _check share
+_CODECS = {
+    "poly": (polys.poly_to_records, polys.poly_from_records),
+    "payload": (_as_is, _as_is),
+    "window": (window_to_json, window_from_json),
+    "matrix": (matrix_to_json, matrix_from_json),
+    "colors": (_as_is, _as_is),
+    "delta": (lambda delta: str(Fraction(delta)), lambda domain, text: Fraction(text)),
+    "mode": (_as_is, _as_is),
+    "injective": (_as_is, _as_is),
+    "coloring_spec": (str, colorings.parse_coloring_spec),
+}
+
+
+def make_certificate(kind, domain, command=None, poly=None, var_names=None, payload=None, **inputs):
+    """A certificate document; each non-None field is encoded through _CODECS."""
     doc = {
         "schema": SCHEMA_VERSION,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "kind": kind,
         "domain": str(domain),
         "enumeration_scheme": rings.enumeration_scheme_id(domain),
         "command": command or [],
-        "payload": payload or {},
     }
-    if poly is not None:
-        doc["poly"] = polys.poly_to_records(poly)
-        if var_names:
-            doc["poly"]["vars"] = list(var_names)
-    fields = {
-        "matrix": None if matrix is None else matrix_to_json(matrix),
-        "window": None if window is None else window_to_json(window),
-        "colors": colors,
-        "delta": None if delta is None else str(Fraction(delta)),
-        "mode": mode,
-        "injective": injective,
-        "coloring_spec": None if coloring_spec is None else str(coloring_spec),
-    }
-    doc.update((key, value) for key, value in fields.items() if value is not None)
+    for name, value in dict(inputs, poly=poly, payload=payload or {}).items():
+        encode = _CODECS[name][0]  # an unknown input raises KeyError
+        if value is not None:
+            doc[name] = encode(value)
+    if var_names and poly is not None:
+        doc["poly"]["vars"] = list(var_names)
     return doc
 
 
 def from_window_certificate(cert, poly, var_names=None, command=None):
+    """A WindowCertificate's document: its other set fields form the payload."""
+    inputs, payload = {}, {}
+    for name, value in vars(cert).items():
+        if name in _CODECS:
+            inputs[name] = value
+        elif name != "kind" and value is not None:
+            payload[name] = list(value) if isinstance(value, tuple) else value
     return make_certificate(
-        cert.kind,
-        cert.window.domain,
-        command=command,
-        poly=poly,
-        var_names=var_names,
-        window=cert.window,
-        payload=_window_cert_payload(cert),
-        colors=cert.colors,
-        delta=cert.delta,
-        mode=cert.mode,
-        injective=cert.injective,
+        cert.kind, cert.window.domain, command, poly, var_names, payload, **inputs
     )
 
 
@@ -156,7 +134,7 @@ def _require(doc, *keys):
             raise VerificationError(f"certificate missing field {key!r}")
 
 
-# the fields each kind needs; poly and window are decoded before the check
+# the fields each kind needs, all decoded through _CODECS before the check
 _FIELDS = {
     "ColumnsWitness": ("matrix", "payload"),
     "NoColumnsWitness": ("matrix",),
@@ -194,34 +172,35 @@ def verify_certificate(doc):
         return False, f"malformed certificate: {exc}"
 
 
-def _element_at(window, position):
-    """The element at a window position; one outside the window is malformed."""
-    if not 0 <= position < len(window):
-        raise IndexError(f"window position {position} out of range")
-    return window.elements[position]
+def _claimed_root(p, window, positions, injective):
+    """The fault of a root of p claimed at window positions: "not a root",
+    "not injective" (a position repeats while injective) or None."""
+    for i in positions:
+        if not 0 <= i < len(window):
+            raise IndexError(f"window position {i} out of range")
+    if not polys.eval_ring(p, tuple(window.elements[i] for i in positions)).is_zero():
+        return "not a root"
+    if injective and len(set(positions)) != len(positions):
+        return "not injective"
+    return None
 
 
 def _check(doc, kind, domain):
-    if "poly" in _FIELDS[kind]:
-        p = polys.poly_from_records(domain, doc["poly"])
-    if "window" in _FIELDS[kind]:
-        window = window_from_json(domain, doc["window"])
+    fields = {name: _CODECS[name][1](domain, doc[name]) for name in _FIELDS[kind]}
+    p, window, payload = fields.get("poly"), fields.get("window"), fields.get("payload")
     injective = doc.get("injective", False)
     if kind == "ColumnsWitness":
-        system = matrix_from_json(domain, doc["matrix"])
-        witness = witness_from_json(domain, doc["payload"])
-        ok = rado.verify_witness(system, witness)
+        ok = rado.verify_witness(fields["matrix"], witness_from_json(domain, payload))
         return ok, "witness equations hold" if ok else "witness equations fail"
     if kind == "NoColumnsWitness":
-        system = matrix_from_json(domain, doc["matrix"])
-        if rado.columns_condition(system, force=True) is not None:
+        if rado.columns_condition(fields["matrix"], force=True) is not None:
             return False, "a columns-condition witness exists"
         return True, "no columns-condition witness (decision re-run)"
     if kind in ("PartitionColorable", "Exhausted"):
-        coloring = doc["payload"]["coloring"]
+        coloring = payload["coloring"]
         if len(coloring) != len(window):
             return False, "coloring length mismatch"
-        if any(not 0 <= c < doc["colors"] for c in coloring):
+        if any(not 0 <= c < fields["colors"] for c in coloring):
             return False, "color out of range"
         for edge in windows.enumerate_roots(p, window, injective).edges:
             if len({coloring[i] for i in edge}) == 1:
@@ -230,26 +209,24 @@ def _check(doc, kind, domain):
     if kind == "PartitionCertified":
         constant_root = doc["payload"].get("constant_root")
         if constant_root is not None:
-            value = _element_at(window, constant_root)
-            point = tuple(value for _ in range(p.nvars))
-            if not polys.eval_ring(p, point).is_zero():
+            fault = _claimed_root(p, window, [constant_root] * p.nvars, injective)
+            if fault == "not a root":
                 return False, "claimed constant root does not vanish"
-            if injective and p.nvars > 1:
+            if fault:
                 return False, "a constant root is not injective"
             return True, "constant root verified"
-        if windows.check_window_l_pr(p, window, doc["colors"], injective).coloring is not None:
+        if windows.check_window_l_pr(p, window, fields["colors"], injective).coloring is not None:
             return False, "the window has a coloring with no monochromatic edge"
         return True, "no coloring avoids a monochromatic edge (window search re-run)"
     if kind in ("DensityAvoider", "DensityCertified"):
-        delta = Fraction(doc["delta"])
-        payload = doc["payload"]
+        threshold = fields["delta"] * len(window)
         edges = windows.enumerate_roots(p, window, injective).edges
         if kind == "DensityAvoider":
             avoider = payload["avoider"]
             chosen = set(avoider)
             if len(chosen) != len(avoider) or not chosen <= set(range(len(window))):
                 return False, "avoider is not a subset of the window"
-            if len(avoider) < delta * len(window):
+            if len(avoider) < threshold:
                 return False, "avoider smaller than the density threshold"
             for edge in edges:
                 if set(edge) <= chosen:
@@ -257,57 +234,52 @@ def _check(doc, kind, domain):
             message = "avoider contains no edge"
         else:
             size = len(windows.max_avoiding_subset(len(window), edges))
-            if size >= delta * len(window):
+            if size >= threshold:
                 return False, f"an avoider of size {size} meets the density threshold"
             if size != payload["max_avoider_size"]:
                 return False, f"the maximum avoider has size {size}, not the claimed one"
             message = "every avoider is below the density threshold (branch and bound re-run)"
-        if payload.get("transferable") != windows.transfers(p, doc["mode"]):
+        if payload.get("transferable") != windows.transfers(p, fields["mode"]):
             return False, "transferable flag does not re-verify"
         return True, message
     if kind == "MonochromaticRoot":
-        spec = colorings.parse_coloring_spec(domain, doc["coloring_spec"])
-        values = tuple(_element_at(window, i) for i in doc["payload"]["tuple"])
-        if not polys.eval_ring(p, values).is_zero():
+        fault = _claimed_root(p, window, payload["tuple"], injective)
+        if fault == "not a root":
             return False, "claimed tuple is not a root"
-        palette = {colorings.color_of(spec, v) for v in values}
-        if len(palette) != 1:
+        spec = fields["coloring_spec"]
+        if len({colorings.color_of(spec, window.elements[i]) for i in payload["tuple"]}) != 1:
             return False, "claimed tuple is not monochromatic"
-        if injective and len(set(values)) != len(values):
+        if fault:
             return False, "claimed tuple is not injective"
         return True, "monochromatic root verified"
     if kind == "Clean":
-        spec = colorings.parse_coloring_spec(domain, doc["coloring_spec"])
-        hit = colorings.refutation_scan(p, spec, window, injective)
+        hit = colorings.refutation_scan(p, fields["coloring_spec"], window, injective)
         if hit is not None:
-            return False, "monochromatic root (" + ", ".join(str(v) for v in hit) + ")"
+            return False, f"monochromatic root ({', '.join(str(window.elements[i]) for i in hit)})"
         return True, "no monochromatic root under the coloring (scan re-run)"
     if kind == "DisjointSolutions":
         used = set()
-        for indices in doc["payload"]["tuples"]:
-            values = tuple(_element_at(window, i) for i in indices)
-            if not polys.eval_ring(p, values).is_zero():
-                return False, "claimed tuple is not a root"
-            value_set = set(values)
-            if value_set & used:
+        for positions in payload["tuples"]:
+            fault = _claimed_root(p, window, positions, injective)
+            if fault:
+                return False, f"claimed tuple is {fault}"
+            if used & set(positions):
                 return False, "tuples are not coordinate-disjoint"
-            used |= value_set
+            used.update(positions)
         return True, "disjoint root tuples verified"
     if kind == "Roots":
-        for indices in doc["payload"]["tuples"]:
-            values = tuple(_element_at(window, i) for i in indices)
-            if not polys.eval_ring(p, values).is_zero():
-                return False, "listed tuple is not a root"
+        tuples = payload["tuples"]
+        for positions in tuples:
+            fault = _claimed_root(p, window, positions, injective)
+            if fault:
+                return False, f"listed tuple is {fault}"
+        edges = sorted({tuple(sorted(set(positions))) for positions in tuples})
+        if "edges" in payload and [tuple(e) for e in payload["edges"]] != edges:
+            return False, "edges are not the position sets of the listed tuples"
         return True, "all listed tuples are roots"
-    from . import reductions  # kind == "Reduction"
-
-    out = polys.poly_from_records(domain, doc["payload"]["output_poly"])
-    report = reductions.apply_transform(
-        p, doc["payload"]["transform"], var_index=doc["payload"].get("var_index", 0)
-    )
-    if report.output != out:
+    report = reductions.apply_transform(p, payload["transform"], payload.get("var_index", 0))
+    if polys.poly_to_records(report.output) != payload["output_poly"]:
         return False, "transform output mismatch"
-    claimed = set(doc["payload"].get("verified", []))
-    if not claimed <= set(report.verified):
+    if not set(payload.get("verified", [])) <= set(report.verified):
         return False, "claimed properties do not re-verify"
     return True, "transform re-applied and properties re-verified"

@@ -9,7 +9,8 @@ main parses every input once, in one order (domain, polynomial, coloring,
 window, matrix), so a malformed input fails the same way in every command.
 Each _cmd_* then runs its engine and returns (certificate document or None,
 report lines, exit code).  main alone times that run, stamps the document's
-elapsed_ms and writes it to --out or prints it for --print-cert.
+elapsed_ms and writes it to --out or prints it for --print-cert; with no
+document, it says that --out was not written.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ def _parse_inputs(args):
         args.matrix = _parse_matrix(domain, args.matrix)
 
 
-def _tuple_text(values):
-    return "(" + ", ".join(str(v) for v in values) + ")"
+def _tuple_text(window, positions):
+    return "(" + ", ".join(str(window.elements[i]) for i in positions) + ")"
 
 
 def _window_doc(args, cert):
@@ -130,9 +131,8 @@ def _cmd_roots(args):
         if solutions is None:
             line = f"no {args.disjoint} coordinate-disjoint root tuples in the window"
             return None, [line], EXIT_INCONCLUSIVE
-        index_of = window.index_of()
-        payload = {"tuples": [[index_of[v] for v in tup] for tup in solutions]}
-        lines = ["disjoint root tuples:"] + ["  " + _tuple_text(tup) for tup in solutions]
+        payload = {"tuples": [list(tup) for tup in solutions]}
+        lines = ["disjoint root tuples:"] + ["  " + _tuple_text(window, tup) for tup in solutions]
         return _doc(args, "DisjointSolutions", payload), lines, EXIT_DEFINITIVE
     hypergraph = windows.enumerate_roots(p, window, args.injective)
     payload = {
@@ -140,7 +140,7 @@ def _cmd_roots(args):
         "edges": [list(e) for e in hypergraph.edges],
     }
     lines = [f"{len(hypergraph.tuples)} root tuples, {len(hypergraph.edges)} edges"]
-    lines += ["  " + _tuple_text(hypergraph.value_tuple(t)) for t in hypergraph.tuples[:50]]
+    lines += ["  " + _tuple_text(window, t) for t in hypergraph.tuples[:50]]
     if len(hypergraph.tuples) > 50:
         lines.append(f"  ... {len(hypergraph.tuples) - 50} more")
     return _doc(args, "Roots", payload), lines, EXIT_DEFINITIVE
@@ -157,8 +157,8 @@ def _cmd_refute(args):
         )
     else:
         kind, code = "MonochromaticRoot", EXIT_DEFINITIVE
-        payload = {"tuple": [window.index_of()[v] for v in hit]}
-        line = f"verdict: MonochromaticRoot {_tuple_text(hit)} under {spec}"
+        payload = {"tuple": list(hit)}
+        line = f"verdict: MonochromaticRoot {_tuple_text(window, hit)} under {spec}"
     return _doc(args, kind, payload, coloring_spec=spec), [line], code
 
 
@@ -278,6 +278,8 @@ def main(argv=None):
                 print(f"certificate written to {args.out}")
             elif args.print_cert:
                 print(certs.dumps(doc))
+        elif getattr(args, "out", None):  # verify has no --out
+            print(f"no certificate written to {args.out}")
         return code
     except (ParseError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

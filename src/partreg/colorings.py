@@ -79,13 +79,13 @@ def color_of(spec, x):
 
 
 def refutation_scan(p, spec, window, injective=False):
-    """Least monochromatic root tuple in the window, or None if Clean."""
+    """Least monochromatic root tuple (window positions), or None if Clean."""
     hypergraph = windows.enumerate_roots(p, window, injective)
     palette = [color_of(spec, e) for e in window.elements]
     for tup in hypergraph.tuples:  # already in canonical lexicographic order
         first = palette[tup[0]]
         if all(palette[i] == first for i in tup[1:]):
-            return hypergraph.value_tuple(tup)
+            return tup
     return None
 
 

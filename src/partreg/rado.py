@@ -17,7 +17,6 @@ Column indices are 0-based throughout.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .rings import DomainElement, DomainTag, field_from_ring, field_zero, frac_normalize, zero
@@ -121,23 +120,22 @@ def _lex_subsets(items):
     yield from rec(0, [])
 
 
-def columns_condition(system, max_cols=DEFAULT_MAX_COLS, force=False):
+def columns_condition(system, force=False):
     """Build a columns-condition witness greedily; None means no witness exists.
 
     Each stage takes the first cell, in _lex_subsets order of the remaining
     columns, whose sum lies in the span of the used columns (span of none is
     {0}).  By the lemma in the module docstring a stage with no such cell
     means no witness, and the chain built is the lexicographically least
-    witness (cells compared as sorted index tuples, cell by cell).
+    witness (cells compared as sorted index tuples, cell by cell).  More than
+    DEFAULT_MAX_COLS columns need force=True.
     """
     n = system.ncols
-    if n > max_cols and not force:
+    if n > DEFAULT_MAX_COLS and not force:
         raise ValueError(
-            f"{n} columns exceeds the default cap of {max_cols}; pass force=True to override"
+            f"{n} columns exceeds the default cap of {DEFAULT_MAX_COLS}; "
+            "pass force=True to override"
         )
-    if n > max_cols:
-        warnings.warn(f"columns-condition subset scan over {n} columns may be very slow")
-
     remaining = list(range(n))
     used, cells, combos = [], [], []
     while remaining:

@@ -37,7 +37,6 @@ TRANSFORM_IDS = ("shift", "q3", "dq4", "gate:mul", "gate:add")
 class ReductionReport:
     input: MultiPoly
     output: MultiPoly
-    transform_id: str
     verified: tuple  # subset of ("homogeneous", "translation-invariant", "identity-checked")
 
 
@@ -72,34 +71,23 @@ def _substitute_and_clear(p, blocks):
     return MultiPoly(p.domain, nvars, out)
 
 
-def _q3_blocks(p, var_indices):
-    # layout: transformed variable -> 3 consecutive slots, others -> 1 slot
-    var_indices = set(var_indices)
-    total = sum(3 if i in var_indices else 1 for i in range(p.nvars))
-    blocks = []
-    start = 0
-    for i in range(p.nvars):
-        if i in var_indices:
-            numerator = _block_difference(p.domain, total, start, start + 1)
-            blocks.append((numerator, MultiPoly.variable(p.domain, total, start + 2)))
-            start += 3
-        else:
-            blocks.append((MultiPoly.variable(p.domain, total, start), None))
-            start += 1
-    return blocks
+def _q3_blocks(p):
+    total = 3 * p.nvars
+    return [
+        (
+            _block_difference(p.domain, total, 3 * i, 3 * i + 1),
+            MultiPoly.variable(p.domain, total, 3 * i + 2),
+        )
+        for i in range(p.nvars)
+    ]
 
 
-def quotient3_homogenize(p, var_indices=None):
+def quotient3_homogenize(p):
     """Clear p((z1-z2)/z3, ...) with (prod z_{3i})^deg(p).
 
-    var_indices restricts the substitution to a subset of variables (used to
-    build gated shapes); untouched variables keep a single slot.  With the
-    default all-variables call the output has 3k variables and is
-    homogeneous of degree k*deg(p).
+    The output has 3k variables and is homogeneous of degree k*deg(p).
     """
-    if var_indices is None:
-        var_indices = range(p.nvars)
-    return _substitute_and_clear(p, _q3_blocks(p, var_indices))
+    return _substitute_and_clear(p, _q3_blocks(p))
 
 
 def _dq4_blocks(p):
@@ -146,11 +134,11 @@ def ratio_gate(p, mode, var_index):
 # ---------------------------------------------------------------------------
 
 
-def _identity_sampled(p, out, blocks, rng, samples=25):
+def _identity_sampled(p, out, blocks, rng):
     """Sampled ring check that out(z) = sum c_e prod n_i(z)^e_i d_i(z)^(deg-e_i).
 
     (n_i, d_i) are the blocks that replace variable i; no d_i means no
-    clearing factor.  Points are drawn from the first 40 nonzero elements,
+    clearing factor.  25 points are drawn from the first 40 nonzero elements,
     and a point where some d_i vanishes is skipped; a check that skips every
     point checks nothing, so it fails.
     """
@@ -158,7 +146,7 @@ def _identity_sampled(p, out, blocks, rng, samples=25):
     pool = [x.value for x in nonzero_prefix(p.domain, 40)]
     ops = p.domain.ops
     checked = 0
-    for _ in range(samples):
+    for _ in range(25):
         raw = [(rng.choice(pool), None) for _ in range(out.nvars)]  # the point, as blocks
         values = [
             tuple(None if q is None else substitute_and_clear(ops, q.terms, raw) for q in block)
@@ -173,13 +161,12 @@ def _identity_sampled(p, out, blocks, rng, samples=25):
     return checked > 0
 
 
-def apply_transform(p, transform_id, var_index=0, rng=None):
+def apply_transform(p, transform_id, var_index=0):
     """Run a transform and re-verify its advertised structural properties."""
-    rng = rng or random.Random(0)
     if transform_id == "shift":
         blocks = _shift_blocks(p)
     elif transform_id == "q3":
-        blocks = _q3_blocks(p, range(p.nvars))
+        blocks = _q3_blocks(p)
     elif transform_id == "dq4":
         blocks = _dq4_blocks(p)
     elif transform_id in ("gate:mul", "gate:add"):
@@ -194,6 +181,6 @@ def apply_transform(p, transform_id, var_index=0, rng=None):
             verified.append("homogeneous")
         if transform_id == "dq4" and is_translation_invariant(out):
             verified.append("translation-invariant")
-    if _identity_sampled(p, out, blocks, rng):
+    if _identity_sampled(p, out, blocks, random.Random(0)):
         verified.append("identity-checked")
-    return ReductionReport(input=p, output=out, transform_id=transform_id, verified=tuple(verified))
+    return ReductionReport(input=p, output=out, verified=tuple(verified))

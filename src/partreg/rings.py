@@ -34,14 +34,12 @@ from typing import NamedTuple
 
 
 class ParseError(ValueError):
-    """Malformed element/polynomial text; carries the offending position."""
+    """Malformed element/polynomial text; the message names the offending position."""
 
     def __init__(self, message, text=None, pos=None):
         if text is not None and pos is not None:
             message = f"{message} at position {pos}: {text!r}"
         super().__init__(message)
-        self.text = text
-        self.pos = pos
 
 
 class DivisibilityError(ArithmeticError):

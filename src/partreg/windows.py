@@ -14,7 +14,6 @@ general, so Exhausted is always inconclusive).
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -29,16 +28,15 @@ class Window:
     provenance: str
 
     def __post_init__(self):
-        positions = {}
-        for i, x in enumerate(self.elements):
+        seen = set()
+        for x in self.elements:
             if x.domain != self.domain:
                 raise ValueError("window element domain mismatch")
             if x.is_zero():
                 raise ValueError("0 is never a window element")
-            if x in positions:
+            if x in seen:
                 raise ValueError("duplicate window element")
-            positions[x] = i
-        object.__setattr__(self, "_positions", positions)
+            seen.add(x)
 
     def __len__(self):
         return len(self.elements)
@@ -62,10 +60,6 @@ class Window:
     def explicit(cls, domain, elements):
         return cls(domain, tuple(elements), "explicit-list")
 
-    def index_of(self):
-        """Element -> window position, built once with the window."""
-        return self._positions
-
 
 @dataclass
 class RootHypergraph:
@@ -78,10 +72,6 @@ class RootHypergraph:
     window: Window
     tuples: list  # list of index tuples, lexicographically sorted
     edges: list  # sorted list of sorted index tuples
-    injective_mode: bool
-
-    def value_tuple(self, indices):
-        return tuple(self.window.elements[i] for i in indices)
 
 
 @dataclass
@@ -259,7 +249,7 @@ def enumerate_roots(p, window, injective=False):
         found = _separable_roots(*split, p.nvars - 1, raw, injective)
     found.sort()
     edges = sorted({tuple(sorted(set(tup))) for tup in found})
-    return RootHypergraph(window, found, edges, injective)
+    return RootHypergraph(window, found, edges)
 
 
 def _minimal_edges(edges):
@@ -450,17 +440,12 @@ def density_window_check(p, window, delta, mode="additive", injective=False):
     DensityCertified means every subset of size >= delta*|window| contains an
     edge; the certificate transfers to the whole domain only when the
     polynomial is translation invariant (additive mode) or homogeneous
-    (multiplicative mode).
+    (multiplicative mode), which the transferable field records.
     """
     delta = Fraction(delta)
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     transferable = transfers(p, mode)
-    if not transferable:
-        warnings.warn(
-            "polynomial lacks the structural property required for the certificate "
-            "to transfer beyond this window; marking non-transferable"
-        )
     hypergraph = enumerate_roots(p, window, injective)
     avoider = max_avoiding_subset(len(window), hypergraph.edges)
     certified = len(avoider) < delta * len(window)
@@ -482,8 +467,9 @@ def density_window_check(p, window, delta, mode="additive", injective=False):
 
 
 def disjoint_solutions(p, window, count, injective=False):
-    """The first count root tuples, in tuple order, with pairwise disjoint
-    coordinate-value sets, or None; backtracks over a stack of tuple indices.
+    """The first count root tuples (window positions), in tuple order, with
+    pairwise disjoint coordinate sets, or None; backtracks over a stack of
+    tuple indices.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -502,4 +488,4 @@ def disjoint_solutions(p, window, count, injective=False):
             idx = picked.pop() + 1
         else:
             return None
-    return [hypergraph.value_tuple(tuples[i]) for i in picked]
+    return [tuples[i] for i in picked]

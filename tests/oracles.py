@@ -18,7 +18,7 @@ def enumerate_roots_naive(p, window, injective=False):
         if eval_ring(p, tuple(elems[i] for i in combo)).is_zero():
             found.append(combo)
     edges = sorted({tuple(sorted(set(tup))) for tup in found})
-    return RootHypergraph(window, found, edges, injective)
+    return RootHypergraph(window, found, edges)
 
 
 def exhaustive_l_pr_oracle(p, window, colors, injective=False):

@@ -1,11 +1,13 @@
 import copy
 import functools
+import json
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from partreg import cli
 from partreg.certs import (
     SCHEMA_VERSION,
     VerificationError,
@@ -149,7 +151,7 @@ def every_kind_documents():
             INTEGERS,
             poly=SCHUR,
             window=window,
-            payload={"tuple": [window.index_of()[v] for v in hit]},
+            payload={"tuple": list(hit)},
             coloring_spec=spec,
         )
     )
@@ -168,7 +170,7 @@ def every_kind_documents():
             INTEGERS,
             poly=SCHUR,
             window=window,
-            payload={"tuples": [[window.index_of()[v] for v in t] for t in tuples]},
+            payload={"tuples": [list(t) for t in tuples]},
             injective=True,
         )
     )
@@ -337,6 +339,36 @@ def test_positions_outside_the_window_are_malformed(kind):
         ok, message = verify_certificate(shifted)
         assert not ok
         assert message.startswith("malformed certificate: window position")
+
+
+def _cli_certificate(tmp_path, *argv):
+    path = tmp_path / "cert.json"
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def test_roots_edges_must_be_the_position_sets_of_the_tuples(tmp_path):
+    doc = _cli_certificate(tmp_path, "roots", "--poly", "x+y-z", "--window", "1..4")
+    assert verify_certificate(doc)[0]
+    doc["payload"]["edges"] = [[0]]
+    message = "edges are not the position sets of the listed tuples"
+    assert verify_certificate(doc) == (False, message)
+
+
+def test_injective_roots_reject_a_repeated_position(tmp_path):
+    argv = ("roots", "--poly", "x+y-z", "--window", "1..4", "--injective")
+    doc = _cli_certificate(tmp_path, *argv)
+    assert verify_certificate(doc)[0]
+    doc["payload"]["tuples"].append([0, 0, 1])  # 1 + 1 = 2, but x = y
+    assert verify_certificate(doc) == (False, "listed tuple is not injective")
+
+
+def test_injective_disjoint_solutions_reject_a_repeated_position(tmp_path):
+    argv = ("roots", "--poly", "x+y-z", "--window", "1..12", "--injective", "--disjoint", "2")
+    doc = _cli_certificate(tmp_path, *argv)
+    assert doc["kind"] == "DisjointSolutions" and verify_certificate(doc)[0]
+    doc["payload"]["tuples"][0] = [0, 0, 1]
+    assert verify_certificate(doc) == (False, "claimed tuple is not injective")
 
 
 def test_known_leaks_are_malformed_not_raised():

@@ -172,6 +172,18 @@ def test_roots_disjoint_large_window(capsys, tmp_path):
     assert out.startswith("VALID")
 
 
+def test_roots_disjoint_without_enough_tuples_writes_no_file(capsys, tmp_path):
+    path = tmp_path / "none.json"
+    argv = ["roots", "--poly", "x+y-z", "--window", "1..3", "--disjoint", "5"]
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == EXIT_INCONCLUSIVE
+    assert out == (
+        "no 5 coordinate-disjoint root tuples in the window\n"
+        f"no certificate written to {path}\n"
+    )
+    assert not path.exists()
+
+
 def test_refute_clean_is_inconclusive(capsys):
     code, out, _ = run(
         capsys, "refute", "--poly", "x - 2*y", "--coloring", "basep:3", "--window", "1..200"
@@ -375,12 +387,17 @@ def test_unknown_subcommand_is_exit_1(capsys):
 
 def test_one_process_matches_separate_processes(capsys):
     # main keeps its argument parser between calls; a usage error in between
-    # must not change what the later calls print or return
+    # must not change what the later calls print or return, and a density
+    # check that does not transfer prints the same line every time
+    non_transferable = ["density", "--poly", "x*y-z+1", "--window", "1..9", "--delta", "0.6"]
+    non_transferable += ["--mode", "mul"]
     commands = [
         ["window", "--poly", "x + y - z", "--colors", "2", "--window", "1..4"],
         ["window", "--colors", "2"],
         ["density", "--poly", "x + y - 2*z", "--window", "1..9", "--delta", "5/9", "--injective"],
         ["window", "--poly", "x + y - z", "--colors", "2", "--window", "1..5"],
+        non_transferable,
+        non_transferable,
     ]
     src = os.path.dirname(os.path.dirname(partreg.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -395,4 +412,4 @@ def test_one_process_matches_separate_processes(capsys):
         )
         assert run(capsys, *argv) == (alone.returncode, alone.stdout, alone.stderr)
         codes.append(alone.returncode)
-    assert codes == [EXIT_DEFINITIVE, EXIT_ERROR, EXIT_DEFINITIVE, EXIT_DEFINITIVE]
+    assert codes == [EXIT_DEFINITIVE, EXIT_ERROR] + [EXIT_DEFINITIVE] * 4

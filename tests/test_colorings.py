@@ -124,17 +124,19 @@ def test_x_minus_2y_clean_under_base3():
 
 def test_schur_scan_finds_least_root():
     p = pp(INTEGERS, "x + y - z", var_order=["x", "y", "z"])
-    found = refutation_scan(p, BASE3, Window.interval(INTEGERS, 1, 10))
+    window = Window.interval(INTEGERS, 1, 10)
+    found = refutation_scan(p, BASE3, window)
     assert found is not None
-    assert tuple(x.value for x in found) == (1, 3, 4)
+    assert tuple(window.elements[i].value for i in found) == (1, 3, 4)
 
 
 def test_gf2_ordmod_scan():
     p = pp(GF2, "x + y - z", var_order=["x", "y", "z"])
     spec = ColoringSpec(family="OrdMod", irreducible=t_element(GF2), modulus=2)
-    found = refutation_scan(p, spec, Window.enumeration_prefix(GF2, 7))
+    window = Window.enumeration_prefix(GF2, 7)
+    found = refutation_scan(p, spec, window)
     assert found is not None
-    values = [str(x.value) for x in found]
+    values = [str(window.elements[i].value) for i in found]
     assert values == [str(parse_element(GF2, s).value) for s in ["1", "t^2", "t^2+1"]]
 
 
@@ -148,8 +150,9 @@ def test_scan_result_is_monochromatic_root():
         found = refutation_scan(p, BASE3, window, injective=True)
         if found is None:
             continue
-        assert eval_ring(p, found).is_zero()
-        assert len({color_of(BASE3, x) for x in found}) == 1
+        values = tuple(window.elements[i] for i in found)
+        assert eval_ring(p, values).is_zero()
+        assert len({color_of(BASE3, x) for x in values}) == 1
 
 
 def test_clean_scan_implies_window_colorable():

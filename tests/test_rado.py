@@ -282,8 +282,7 @@ def test_cap_on_column_count():
     wide = zmat([[1] * 10 + [-1] * 0])
     with pytest.raises(ValueError):
         columns_condition(wide)
-    with pytest.warns(UserWarning):
-        witness = columns_condition(zmat([[1] * 5 + [-5]]), max_cols=4, force=True)
+    witness = columns_condition(zmat([[1] * 9 + [-9]]), force=True)  # 10 columns
     assert witness is not None
 
 
@@ -364,5 +363,4 @@ def non_regular_family(n):
 def test_non_regular_family_wide():
     assert backtracking_columns_condition(non_regular_family(6)) is None
     assert columns_condition(non_regular_family(9)) is None
-    with pytest.warns(UserWarning):
-        assert columns_condition(non_regular_family(12), force=True) is None
+    assert columns_condition(non_regular_family(12), force=True) is None

@@ -149,22 +149,6 @@ def test_dq4_structure_and_identity(domain):
             assert eval_field(out, zs) == eval_field(p, quotients) * clearing
 
 
-def test_q3_subset_composes_with_full_pipeline():
-    # gating a quadratic's variables one at a time agrees with an identity
-    # check on the partially substituted form
-    rng = random.Random(87)
-    p = pp(INTEGERS, "x^2 + x*y - 3", var_order=["x", "y"])
-    out = quotient3_homogenize(p, var_indices=[0])
-    # layout: x -> slots 0,1,2 ; y -> slot 3
-    assert out.nvars == 4
-    degree = p.degree()
-    for _ in range(40):
-        zs = [random_nonzero_fraction(INTEGERS, rng) for _ in range(4)]
-        za, zb, zc, y = zs
-        x = (za - zb) / zc
-        assert eval_field(out, zs) == eval_field(p, [x, y]) * zc**degree
-
-
 # ---------------------------------------------------------------------------
 # ratio gates
 # ---------------------------------------------------------------------------

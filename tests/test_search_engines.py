@@ -180,8 +180,7 @@ def disjoint_solutions_oracle(p, window, count, injective=False):
                 return result
         return None
 
-    picked = backtrack(0, [], set())
-    return None if picked is None else [tuple(window.elements[i] for i in t) for t in picked]
+    return backtrack(0, [], set())
 
 
 @pytest.mark.parametrize("poly", [SCHUR, AP3], ids=["schur", "ap3"])
