@@ -5,7 +5,8 @@ the payload (witness equations, monochromatic-edge scans, avoider edge
 checks) without repeating the original search.  Verdicts that carry no
 finite payload (no columns-condition witness, a certified or dense window,
 a clean scan) are re-decided: the verifier runs the finite decision again
-and compares its answer with the claim.
+and compares its answer with the claim.  A Roots list claims completeness,
+so after each tuple is checked the window's roots are re-enumerated.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def _check(doc, kind, domain):
         coloring = payload["coloring"]
         if len(coloring) != len(window):
             return False, "coloring length mismatch"
-        if any(not 0 <= c < fields["colors"] for c in coloring):
+        if any(c not in range(fields["colors"]) for c in coloring):
             return False, "color out of range"
         for edge in windows.enumerate_roots(p, window, injective).edges:
             if len({coloring[i] for i in edge}) == 1:
@@ -273,10 +274,12 @@ def _check(doc, kind, domain):
             fault = _claimed_root(p, window, positions, injective)
             if fault:
                 return False, f"listed tuple is {fault}"
-        edges = sorted({tuple(sorted(set(positions))) for positions in tuples})
-        if "edges" in payload and [tuple(e) for e in payload["edges"]] != edges:
+        hypergraph = windows.enumerate_roots(p, window, injective)
+        if [tuple(positions) for positions in tuples] != hypergraph.tuples:
+            return False, "listed tuples are not the sorted list of every root in the window"
+        if "edges" in payload and [tuple(e) for e in payload["edges"]] != hypergraph.edges:
             return False, "edges are not the position sets of the listed tuples"
-        return True, "all listed tuples are roots"
+        return True, "the listed tuples are every root in the window (enumeration re-run)"
     report = reductions.apply_transform(p, payload["transform"], payload.get("var_index", 0))
     if polys.poly_to_records(report.output) != payload["output_poly"]:
         return False, "transform output mismatch"

@@ -143,110 +143,78 @@ class _RawWindow:
         return [self.ops.zero] * len(self.values) if total is None else total
 
 
-def _separable_roots(f, h, last, raw, injective):
-    """Roots of f(x1..x(n-1)) + h(xn) on raw values: one value -> positions table of h.
-
-    f (over `last` variables) and h are raw terms.  The descent substitutes
-    raw values into f's first last-1 variables, folds f's last variable to
-    one constant c per element, and the roots through it are the positions
-    where h takes -c.  f's own constants say nothing before h is added, so
-    the descent never prunes.
-    """
-    ops = raw.ops
-    freeze = ops.freeze
-    table = {}  # -h(x) -> ascending positions of x
-    for i, v in enumerate(raw.at_each(h)):
-        table.setdefault(freeze(ops.neg(v)), []).append(i)
-    if not last:
-        return [(i,) for i in table.get(freeze(f.get((), ops.zero)), ())]
-    found = []
-
-    def descend(terms, prefix):
-        if len(prefix) + 1 < last:
-            for i, powers in enumerate(raw.powers):
-                if not (injective and i in prefix):
-                    descend(substitute_first_raw(ops, terms, powers), prefix + (i,))
-            return
-        for j, positions in enumerate(map(table.get, map(freeze, raw.at_each(terms)))):
-            if positions is None or injective and j in prefix:
-                continue
-            row = prefix + (j,)
-            for i in positions:
-                if not (injective and i in row):
-                    found.append(row + (i,))
-
-    descend(f, ())
-    return found
-
-
-def _descended_roots(n, terms, raw, injective):
-    """Roots of raw terms in n variables by partial substitution on raw values,
-    pruning dead branches on the way."""
-    ops = raw.ops
-    size = len(raw.values)
-    position = {v: i for i, v in enumerate(raw.values)}
-    found = []
-
-    def last_variable(terms, prefix):
-        degree = max((e for (e,) in terms), default=0)
-        if degree == 0:
-            if not terms:
-                found.extend(prefix + (i,) for i in range(size) if not (injective and i in prefix))
-            return
-        if degree == 1:  # the root is -b/a, when a divides b
-            quo, rem = ops.divmod(ops.neg(terms.get((0,), ops.zero)), terms[(1,)])
-            i = None if rem else position.get(ops.freeze(quo))
-            if i is not None and not (injective and i in prefix):
-                found.append(prefix + (i,))
-            return
-        for i, value in enumerate(raw.at_each(terms)):
-            if not value and not (injective and i in prefix):
-                found.append(prefix + (i,))
-
-    def descend(terms, prefix):
-        remaining = n - len(prefix)
-        if not terms and not injective:
-            found.extend(prefix + rest for rest in itertools.product(range(size), repeat=remaining))
-            return
-        if remaining == 1:
-            last_variable(terms, prefix)
-            return
-        if len(terms) == 1 and (0,) * remaining in terms:
-            return  # nonzero constant: no completion can vanish
-        for i, powers in enumerate(raw.powers):
-            if not (injective and i in prefix):
-                descend(substitute_first_raw(ops, terms, powers), prefix + (i,))
-
-    descend(terms, ())
-    return found
-
-
 def enumerate_roots(p, window, injective=False):
     """Every tuple in window^nvars where p vanishes, as a hypergraph.
 
-    Both descents run on raw values (one substitute_first_raw kernel, each
-    element's powers computed once), never building a MultiPoly or a
-    DomainElement per node.  Three paths, all matching the naive full
-    product scan exactly:
+    One descent substitutes window elements into the leading variables on
+    raw values (substitute_first_raw, each element's powers computed once),
+    never building a MultiPoly or a DomainElement per node.  Three paths,
+    all matching the naive full product scan exactly:
 
-    * separable hash: when p = f(x1..x(n-1)) + h(xn), h is evaluated once
-      per window element into a value -> positions table, and each prefix
-      of f's variables resolves by one lookup;
-    * linear closed form: otherwise partial substitution prunes branches
-      whose remaining polynomial is a nonzero constant, and solves the last
-      variable directly when it appears linearly;
+    * separable hash: when p = f(x1..x(n-1)) + h(xn), n >= 2, -h fills a
+      value -> positions table once; the descent runs over f unpruned (f's
+      constants say nothing before h is added), folds f's last variable to
+      one value per element and resolves xn by one lookup each;
+    * linear closed form: otherwise a zero polynomial takes every
+      completion, a nonzero constant is pruned, and a last variable that
+      appears linearly is solved directly;
     * scan: a last variable of higher degree is evaluated over the window.
     """
     if p.domain != window.domain:
         raise ValueError("polynomial and window domains differ")
     if p.nvars == 0:
         raise ValueError("cannot enumerate roots of a constant")
-    raw = _RawWindow(p.domain.ops, window)
-    split = _split_last_variable(p)
+    ops = p.domain.ops
+    freeze = ops.freeze
+    raw = _RawWindow(ops, window)
+    size = len(raw.values)
+    split = _split_last_variable(p) if p.nvars > 1 else None
+    found = []
     if split is None:
-        found = _descended_roots(p.nvars, p.terms, raw, injective)
+        terms, n = p.terms, p.nvars
+        position = {v: i for i, v in enumerate(raw.values)}
+
+        def last_variable(terms, prefix):  # terms is zero or not constant
+            if max((e for (e,) in terms), default=0) == 1:  # the root is -b/a, when a divides b
+                quo, rem = ops.divmod(ops.neg(terms.get((0,), ops.zero)), terms[(1,)])
+                i = None if rem else position.get(freeze(quo))
+                if i is not None and not (injective and i in prefix):
+                    found.append(prefix + (i,))
+                return
+            for i, value in enumerate(raw.at_each(terms)):
+                if not value and not (injective and i in prefix):
+                    found.append(prefix + (i,))
     else:
-        found = _separable_roots(*split, p.nvars - 1, raw, injective)
+        (terms, h), n = split, p.nvars - 1  # the descent covers f's n variables
+        table = {}  # -h(x) -> ascending positions of x
+        for i, v in enumerate(raw.at_each(h)):
+            table.setdefault(freeze(ops.neg(v)), []).append(i)
+
+        def last_variable(terms, prefix):  # f's last variable folded, xn looked up
+            for j, positions in enumerate(map(table.get, map(freeze, raw.at_each(terms)))):
+                if positions is None or injective and j in prefix:
+                    continue
+                row = prefix + (j,)
+                for i in positions:
+                    if not (injective and i in row):
+                        found.append(row + (i,))
+
+    def descend(terms, prefix):
+        remaining = n - len(prefix)
+        if split is None:
+            if not terms and not injective:
+                found.extend(prefix + rest for rest in itertools.product(range(size), repeat=remaining))
+                return
+            if len(terms) == 1 and (0,) * remaining in terms:
+                return  # nonzero constant: no completion can vanish
+        if remaining == 1:
+            last_variable(terms, prefix)
+            return
+        for i, powers in enumerate(raw.powers):
+            if not (injective and i in prefix):
+                descend(substitute_first_raw(ops, terms, powers), prefix + (i,))
+
+    descend(terms, ())
     found.sort()
     edges = sorted({tuple(sorted(set(tup))) for tup in found})
     return RootHypergraph(window, found, edges)

@@ -363,6 +363,27 @@ def test_injective_roots_reject_a_repeated_position(tmp_path):
     assert verify_certificate(doc) == (False, "listed tuple is not injective")
 
 
+def test_roots_must_list_every_root(tmp_path):
+    doc = _cli_certificate(tmp_path, "roots", "--poly", "x+y-z", "--window", "1..4")
+    assert verify_certificate(doc)[0]
+    doc["payload"]["tuples"].remove([1, 0, 2])  # 2 + 1 = 3; (1, 2, 3) keeps its edge
+    message = "listed tuples are not the sorted list of every root in the window"
+    assert verify_certificate(doc) == (False, message)
+
+
+def test_colors_must_be_integers_in_range(tmp_path):
+    argv = ("window", "--poly", "x+y-z", "--colors", "3", "--window", "1..5")
+    doc = _cli_certificate(tmp_path, *argv)
+    assert verify_certificate(doc)[0]
+    # a 2-coloring of 1..5 without a Schur triple would contradict S(2) = 4
+    doc["colors"] = 2
+    doc["payload"]["coloring"] = [0.5 if c == 2 else c for c in doc["payload"]["coloring"]]
+    assert verify_certificate(doc) == (False, "color out of range")
+    doc["colors"] = 2.0
+    ok, message = verify_certificate(doc)
+    assert not ok and message.startswith("malformed certificate")
+
+
 def test_injective_disjoint_solutions_reject_a_repeated_position(tmp_path):
     argv = ("roots", "--poly", "x+y-z", "--window", "1..12", "--injective", "--disjoint", "2")
     doc = _cli_certificate(tmp_path, *argv)
