@@ -7,7 +7,6 @@ from .colorings import ColoringSpec, color_of, parse_coloring_spec, refutation_s
 from .polys import (
     MultiPoly,
     combine_system,
-    eval_field,
     eval_ring,
     is_homogeneous,
     is_translation_invariant,
@@ -26,8 +25,6 @@ from .rings import (
     INTEGERS,
     DomainElement,
     DomainTag,
-    FieldElement,
-    arith,
     enum_element,
     enum_index,
     frac_normalize,

@@ -36,14 +36,29 @@ def window_from_json(domain, data):
     return windows.Window(domain, elements, data["provenance"])
 
 
-def witness_to_json(witness):
-    combos = [{str(col): str(coeff) for col, coeff in combo.items()} for combo in witness.combos]
+def _fraction_to_text(domain, fraction):
+    """A raw (num, den) pair as "num", or "num/den" unless den is one."""
+    num, den = (rings.format_element(rings.DomainElement(domain, x)) for x in fraction)
+    return num if den == "1" else f"{num}/{den}"
+
+
+def _fraction_from_text(domain, text):
+    """The normalized raw pair of "num" or "num/den"; a zero den raises ZeroDivisionError."""
+    num, *den = (rings.parse_element(domain, part).value for part in text.split("/", 1))
+    return rings.frac_normalize(domain, num, den[0] if den else domain.ops.one)
+
+
+def witness_to_json(domain, witness):
+    combos = [
+        {str(col): _fraction_to_text(domain, coeff) for col, coeff in combo.items()}
+        for combo in witness.combos
+    ]
     return {"cells": [list(cell) for cell in witness.cells], "combos": combos}
 
 
 def witness_from_json(domain, data):
     combos = [
-        {int(col): rings.parse_fraction(domain, text) for col, text in combo.items()}
+        {int(col): _fraction_from_text(domain, text) for col, text in combo.items()}
         for combo in data["combos"]
     ]
     return rado.ColumnsWitness([list(c) for c in data["cells"]], combos)
@@ -141,7 +156,7 @@ _FIELDS = {
     "NoColumnsWitness": ("matrix",),
     "PartitionColorable": ("poly", "window", "colors", "payload"),
     "Exhausted": ("poly", "window", "colors", "payload"),
-    "PartitionCertified": ("poly", "window", "colors"),
+    "PartitionCertified": ("poly", "window", "colors", "payload"),
     "DensityAvoider": ("poly", "window", "delta", "mode", "payload"),
     "DensityCertified": ("poly", "window", "delta", "mode", "payload"),
     "MonochromaticRoot": ("poly", "window", "coloring_spec", "payload"),
@@ -208,7 +223,7 @@ def _check(doc, kind, domain):
                 return False, f"monochromatic edge {list(edge)}"
         return True, "no monochromatic edge"
     if kind == "PartitionCertified":
-        constant_root = doc["payload"].get("constant_root")
+        constant_root = payload.get("constant_root")
         if constant_root is not None:
             fault = _claimed_root(p, window, [constant_root] * p.nvars, injective)
             if fault == "not a root":

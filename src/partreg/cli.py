@@ -81,7 +81,7 @@ def _cmd_linear(args):
         kind, payload = "NoColumnsWitness", None
         line = "verdict: NOT partition regular (no columns-condition witness)"
     else:
-        kind, payload = "ColumnsWitness", certs.witness_to_json(witness)
+        kind, payload = "ColumnsWitness", certs.witness_to_json(args.domain, witness)
         cells = ", ".join("{" + ",".join(str(j + 1) for j in cell) + "}" for cell in witness.cells)
         line = f"verdict: partition regular; witness cells (1-based): {cells}"
     return _doc(args, kind, payload), [line], EXIT_DEFINITIVE

@@ -60,7 +60,7 @@ def color_of(spec, x):
     if x.is_zero():
         raise ValueError("colorings partition the nonzero elements only")
     if spec.family == "OrdMod":
-        return _multiplicity(x, spec.irreducible).value % spec.modulus  # checked by the spec
+        return _multiplicity(x, spec.irreducible) % spec.modulus  # checked by the spec
     if x.domain.kind != "Z":
         raise ValueError("DigitBaseP colors integers only")
     n = abs(x.value)

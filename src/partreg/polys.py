@@ -6,8 +6,8 @@ GF(q)[t].  Raw terms are checked at three edges, the MultiPoly constructor,
 parse_poly and poly_from_records, all by the constructor's check.  All
 arithmetic runs on raw term dicts (raw_add, raw_neg, raw_mul, and powers by
 rings.power), and one substitute_and_clear fold serves composition, the
-reductions, system combination and exact evaluation in the ring and the
-fraction field.  The module also decides homogeneity and additive
+reductions and their sampled identity checks, system combination and exact
+evaluation in the ring.  The module also decides homogeneity and additive
 translation invariance (by Hasse derivatives, without expanding p(x+r)), and
 folds a polynomial system into one polynomial with the same roots.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import rings
-from .rings import DomainElement, DomainTag, FieldElement, ParseError
+from .rings import DomainElement, DomainTag, ParseError
 from .rings import from_int, one, t_element, zero
 
 
@@ -223,35 +223,14 @@ def substitute_and_clear(ring, terms, blocks, clear=None):
 # ---------------------------------------------------------------------------
 
 
-def _check_point(p, point, kind):
+def eval_ring(p, point):
+    """Exact value of p at a point of R^nvars, folded on raw values and wrapped once."""
     if len(point) != p.nvars:
         raise ValueError(f"expected {p.nvars} coordinates, got {len(point)}")
     domain = p.domain
     for x in point:
-        if not isinstance(x, kind) or (x.domain is not domain and x.domain != domain):
+        if not isinstance(x, DomainElement) or (x.domain is not domain and x.domain != domain):
             raise TypeError("mixed-domain arithmetic")
-
-
-def eval_field(p, point):
-    """Exact value of p at a point of K^nvars.
-
-    With x_i = n_i/d_i and E_i the largest exponent of variable i, the
-    numerator sum_e c_e prod n_i^e_i d_i^(E_i - e_i) over the common
-    denominator prod d_i^E_i is folded on raw values and normalized once.
-    """
-    _check_point(p, point, FieldElement)
-    domain = p.domain
-    ops = domain.ops
-    blocks = [(x.num.value, None if x.den.is_one() else x.den.value) for x in point]
-    clear = [max(column) for column in zip(*p.terms)] or [0] * p.nvars
-    num = substitute_and_clear(ops, p.terms, blocks, clear)
-    den = substitute_and_clear(ops, {(0,) * p.nvars: ops.one}, blocks, clear)  # prod d_i^E_i
-    return rings.frac_normalize(domain, DomainElement(domain, num), DomainElement(domain, den))
-
-
-def eval_ring(p, point):
-    """Exact value of p at a point of R^nvars, folded on raw values and wrapped once."""
-    _check_point(p, point, DomainElement)
     blocks = [(x.value, None) for x in point]
     return DomainElement(p.domain, substitute_and_clear(p.domain.ops, p.terms, blocks))
 

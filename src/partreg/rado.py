@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import DomainElement, DomainTag, field_from_ring, field_zero, frac_normalize, zero
+from .rings import DomainTag, frac_normalize, zero
 
 DEFAULT_MAX_COLS = 9  # a stage scans up to 2^n subsets of the remaining columns
 
@@ -57,23 +57,37 @@ class ColumnsWitness:
     """Ordered partition of columns plus the certifying span coefficients.
 
     combos[j-1] maps earlier column indices to K-coefficients expressing the
-    sum of the j-th cell (j >= 1, i.e. cells[1:]).
+    sum of the j-th cell (j >= 1, i.e. cells[1:]).  A coefficient is a raw
+    (num, den) pair as frac_normalize returns it.
     """
 
     cells: list  # list of sorted lists of column indices
-    combos: list  # list of dicts {column index: FieldElement}
+    combos: list  # list of dicts {column index: (num, den)}
 
 
 def _cell_sum(system, cell):
     return [sum((row[j] for j in cell), zero(system.domain)) for row in system.entries]
 
 
+def _residual(ops, target, terms):
+    """target - sum of a * n/d over terms (a, (n, d)), as one raw (num, den)
+    pair, unnormalized; terms with a or n zero are skipped."""
+    add, neg, mul = ops.add, ops.neg, ops.mul
+    num, den = target, ops.one
+    for a, (n, d) in terms:
+        if a and n:
+            num = add(mul(num, d), neg(mul(mul(a, n), den)))
+            den = mul(den, d)
+    return num, den
+
+
 def solve_in_span(domain, columns, target):
     """Solve sum_j x_j * columns[j] = target over K, or return None.
 
+    The solution is a list of raw (num, den) pairs from frac_normalize.
     Fraction-free (Bareiss) forward elimination on raw ring values keeps
     entries exactly divisible; back substitution folds each unknown's
-    numerator and denominator on raw values and normalizes it once.  Free
+    numerator and denominator with _residual and normalizes it once.  Free
     variables are set to zero.
     """
     ops = domain.ops
@@ -96,15 +110,10 @@ def solve_in_span(domain, columns, target):
         pivots.append(c)
     if any(row[k] for row in a[len(pivots) :]):
         return None
-    x = [field_zero(domain)] * k
+    x = [(ops.zero, ops.one)] * k
     for row, c in reversed(list(zip(a, pivots))):
-        num, den = row[k], ops.one
-        for j in range(c + 1, k):
-            if row[j] and x[j]:
-                num = add(mul(num, x[j].den.value), neg(mul(mul(row[j], x[j].num.value), den)))
-                den = mul(den, x[j].den.value)
-        den = mul(den, row[c])
-        x[c] = frac_normalize(domain, DomainElement(domain, num), DomainElement(domain, den))
+        num, den = _residual(ops, row[k], zip(row[c + 1 : k], x[c + 1 :]))
+        x[c] = frac_normalize(domain, num, mul(den, row[c]))
     return x
 
 
@@ -169,20 +178,19 @@ def verify_witness(system, witness):
     if len(witness.combos) != len(witness.cells) - 1:
         raise ValueError("witness has the wrong number of combinations")
 
+    ops = system.domain.ops
     if any(_cell_sum(system, witness.cells[0])):
         return False
     earlier = list(witness.cells[0])
     for cell, combo in zip(witness.cells[1:], witness.combos):
         if any(j not in earlier for j in combo):
             return False
-        total = [field_from_ring(x) for x in _cell_sum(system, cell)]
-        for j, coeff in combo.items():
-            col = system.column(j)
-            total = [
-                total_i - coeff * field_from_ring(col_i) for total_i, col_i in zip(total, col)
-            ]
-        if any(not x.is_zero() for x in total):
-            return False
+        if any(not den for _, den in combo.values()):
+            raise ZeroDivisionError("zero denominator")
+        for target, row in zip(_cell_sum(system, cell), system.entries):
+            terms = [(row[j].value, coeff) for j, coeff in combo.items()]
+            if _residual(ops, target.value, terms)[0]:  # the cell sum is not the combination
+                return False
         earlier.extend(cell)
     return True
 

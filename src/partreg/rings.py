@@ -2,8 +2,8 @@
 
 Two Euclidean domains are implemented: the ring of integers Z (arbitrary
 precision) and the univariate polynomial ring GF(q)[t] for a prime power q.
-Fractions over either domain normalize via gcd, so the fraction field
-(Q or GF(q)(t)) has syntactic equality.
+A fraction over either domain is a raw (num, den) pair that frac_normalize
+reduces by gcd, so the fraction field (Q or GF(q)(t)) has syntactic equality.
 
 Each domain has one arithmetic path: the RawOps table that raw_ops builds and
 every DomainTag carries as `ops`.  DomainElement, fraction normalization and
@@ -495,19 +495,6 @@ def t_element(domain):
     return DomainElement(domain, (0, 1))
 
 
-def arith(domain, op, a, b):
-    """The spec-level arithmetic entry point."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "exact_div":
-        return a.exact_div(b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def gcd(a, b):
     """Euclidean gcd, normalized (nonnegative over Z, monic over GF(q)[t])."""
     return DomainElement(a.domain, a.domain.ops.gcd(a.value, b.value))
@@ -559,83 +546,23 @@ def nonzero_prefix(domain, k):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A reduced fraction num/den over the domain, with canonical sign/lead."""
-
-    num: DomainElement
-    den: DomainElement
-
-    @property
-    def domain(self):
-        return self.num.domain
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __add__(self, other):
-        return frac_normalize(
-            self.domain, self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self):
-        return FieldElement(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        return frac_normalize(self.domain, self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("field division by zero")
-        return frac_normalize(self.domain, self.num * other.den, self.den * other.num)
-
-    def __pow__(self, n):
-        if n < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("0 has no negative power")
-            return frac_normalize(self.domain, self.den ** (-n), self.num ** (-n))
-        return FieldElement(self.num**n, self.den**n)
-
-    def __str__(self):
-        if self.den.is_one():
-            return str(self.num)
-        return f"{self.num}/{self.den}"
-
-
 def frac_normalize(domain, num, den):
-    """Canonical reduced fraction: gcd a unit, den > 0 over Z / monic over GF."""
-    for x in (num, den):
-        if x.domain is not domain and x.domain != domain:
-            raise TypeError("mixed-domain arithmetic")
-    if den.is_zero():
-        raise ZeroDivisionError("zero denominator")
-    if num.is_zero():
-        return FieldElement(zero(domain), one(domain))
+    """num/den on raw values as the reduced pair (num, den) in stored form:
+    den > 0 over Z, monic over GF(q)[t], and gcd(num, den) = 1 (0 is 0/1)."""
     ops = domain.ops
-    n, d = num.value, den.value
-    g = ops.gcd(n, d)
+    if not den:
+        raise ZeroDivisionError("zero denominator")
+    if not num:
+        return ops.zero, ops.one
+    g = ops.gcd(num, den)
     if g != ops.one:
-        n = ops.divmod(n, g)[0]
-        d = ops.divmod(d, g)[0]
-    unit = ops.unit(d)
+        num = ops.divmod(num, g)[0]
+        den = ops.divmod(den, g)[0]
+    unit = ops.unit(den)
     if unit != ops.one:
-        n = ops.mul(n, unit)
-        d = ops.mul(d, unit)
-    return FieldElement(DomainElement(domain, n), DomainElement(domain, d))
-
-
-def field_zero(domain):
-    return FieldElement(zero(domain), one(domain))
-
-
-def field_from_ring(x):
-    return FieldElement(x, one(x.domain))
+        num = ops.mul(num, unit)
+        den = ops.mul(den, unit)
+    return ops.freeze(num), ops.freeze(den)
 
 
 # ---------------------------------------------------------------------------
@@ -680,20 +607,18 @@ def ord_at(x, prime):
     """Multiplicity of `prime` in x; ord(0) is 0 with the degenerate flag set."""
     if not is_irreducible(prime):
         raise ValueError(f"{prime} is not irreducible")
-    return _multiplicity(x, prime)
+    return OrdResult(_multiplicity(x, prime), x.is_zero())
 
 
 def _multiplicity(x, prime):
-    """ord_at for a prime already known to be irreducible."""
-    if x.is_zero():
-        return OrdResult(0, True)
+    """The multiplicity of a prime already known to be irreducible in x (0 at x = 0)."""
     n = 0
-    while True:
-        q, r = x.divmod(prime)
-        if not r.is_zero():
-            return OrdResult(n, False)
-        x = q
+    while x:
+        x, r = x.divmod(prime)
+        if r:
+            break
         n += 1
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -712,15 +637,6 @@ def parse_element(domain, text):
 
     poly, _ = parse_poly(domain, text, var_order=[])
     return DomainElement(domain, poly.terms.get((), domain.ops.zero))
-
-
-def parse_fraction(domain, text):
-    if "/" in text:
-        num_text, den_text = text.split("/", 1)
-        return frac_normalize(
-            domain, parse_element(domain, num_text), parse_element(domain, den_text)
-        )
-    return field_from_ring(parse_element(domain, text))
 
 
 def format_element(x):

@@ -1,10 +1,104 @@
 """Brute-force oracles that the engines in partreg are tested against."""
 
 import itertools
+from dataclasses import dataclass
 
-from partreg.polys import eval_ring
-from partreg.rings import DomainElement, enum_element, field_from_ring, field_zero, one, zero
+from partreg.polys import eval_ring, substitute_and_clear
+from partreg.rings import DomainElement, enum_element, frac_normalize, one, zero
 from partreg.windows import RootHypergraph
+
+
+@dataclass(frozen=True)
+class FieldElement:
+    """A reduced fraction num/den of DomainElements, with canonical sign/lead.
+
+    partreg keeps fractions as raw (num, den) pairs; this object form is the
+    reference its fraction arithmetic is checked against.
+    """
+
+    num: DomainElement
+    den: DomainElement
+
+    @property
+    def domain(self):
+        return self.num.domain
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __add__(self, other):
+        return frac(self.domain, self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __neg__(self):
+        return FieldElement(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return frac(self.domain, self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("field division by zero")
+        return frac(self.domain, self.num * other.den, self.den * other.num)
+
+    def __pow__(self, n):
+        if n < 0:
+            if self.is_zero():
+                raise ZeroDivisionError("0 has no negative power")
+            return frac(self.domain, self.den ** (-n), self.num ** (-n))
+        return FieldElement(self.num**n, self.den**n)
+
+    def __str__(self):
+        if self.den.is_one():
+            return str(self.num)
+        return f"{self.num}/{self.den}"
+
+
+def frac(domain, num, den):
+    """num/den of two DomainElements of `domain`, normalized by frac_normalize."""
+    for x in (num, den):
+        if x.domain is not domain and x.domain != domain:
+            raise TypeError("mixed-domain arithmetic")
+    n, d = frac_normalize(domain, num.value, den.value)
+    return FieldElement(DomainElement(domain, n), DomainElement(domain, d))
+
+
+def field_zero(domain):
+    return FieldElement(zero(domain), one(domain))
+
+
+def field_from_ring(x):
+    return FieldElement(x, one(x.domain))
+
+
+def field_from_pair(domain, pair):
+    """The FieldElement of a raw (num, den) pair as frac_normalize returns it."""
+    return FieldElement(DomainElement(domain, pair[0]), DomainElement(domain, pair[1]))
+
+
+def eval_field(p, point):
+    """Exact value of p at a point of K^nvars (FieldElements).
+
+    With x_i = n_i/d_i and E_i the largest exponent of variable i, the
+    numerator sum_e c_e prod n_i^e_i d_i^(E_i - e_i) over the common
+    denominator prod d_i^E_i is folded on raw values and normalized once.
+    """
+    if len(point) != p.nvars:
+        raise ValueError(f"expected {p.nvars} coordinates, got {len(point)}")
+    domain, ops = p.domain, p.domain.ops
+    for x in point:
+        if not isinstance(x, FieldElement) or x.domain != domain:
+            raise TypeError("mixed-domain arithmetic")
+    blocks = [(x.num.value, None if x.den.is_one() else x.den.value) for x in point]
+    clear = [max(column) for column in zip(*p.terms)] or [0] * p.nvars
+    num = substitute_and_clear(ops, p.terms, blocks, clear)
+    den = substitute_and_clear(ops, {(0,) * p.nvars: ops.one}, blocks, clear)  # prod d_i^E_i
+    return frac(domain, DomainElement(domain, num), DomainElement(domain, den))
 
 
 def enumerate_roots_naive(p, window, injective=False):
@@ -59,7 +153,8 @@ def eval_field_stepwise(p, point):
 
 def solve_in_span_on_elements(domain, columns, target):
     """Oracle for solve_in_span: Bareiss elimination on DomainElements, with
-    FieldElement back substitution normalized after every operation."""
+    FieldElement back substitution normalized after every operation.  The
+    solution is returned as raw (num, den) pairs, as solve_in_span returns it."""
     m, k = len(target), len(columns)
     a = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(m)]
     prev = one(domain)
@@ -86,4 +181,4 @@ def solve_in_span_on_elements(domain, columns, target):
         for j in range(c + 1, k):
             s = s - field_from_ring(a[idx][j]) * x[j]
         x[c] = s / field_from_ring(a[idx][c])
-    return x
+    return [(v.num.value, v.den.value) for v in x]

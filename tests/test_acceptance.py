@@ -10,7 +10,7 @@ import itertools
 import random
 import time
 
-from oracles import enumerate_roots_naive
+from oracles import enumerate_roots_naive, eval_field, field_from_ring
 from partreg.certs import (
     from_window_certificate,
     make_certificate,
@@ -20,7 +20,6 @@ from partreg.certs import (
 from partreg.colorings import ColoringSpec, refutation_scan
 from partreg.polys import (
     MultiPoly,
-    eval_field,
     is_homogeneous,
     is_translation_invariant,
     parse_poly,
@@ -30,7 +29,6 @@ from partreg.rado import LinearSystem, columns_condition, verify_witness
 from partreg.reductions import apply_transform, diffquotient4_homogenize, quotient3_homogenize
 from partreg.rings import (
     INTEGERS,
-    field_from_ring,
     from_int,
     gf_poly_domain,
     nonzero_prefix,
@@ -264,7 +262,7 @@ def _emitted_documents():
             "ColumnsWitness",
             INTEGERS,
             matrix=system,
-            payload=witness_to_json(columns_condition(system)),
+            payload=witness_to_json(INTEGERS, columns_condition(system)),
         )
     )
     for hi, _kind in ((4, "PartitionColorable"), (5, "PartitionCertified")):

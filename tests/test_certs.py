@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -72,7 +73,7 @@ def test_window_json_roundtrip():
 def test_witness_json_roundtrip():
     system = schur_system()
     witness = columns_condition(system)
-    data = witness_to_json(witness)
+    data = witness_to_json(INTEGERS, witness)
     back = witness_from_json(INTEGERS, data)
     assert back.cells == witness.cells
     assert back.combos == witness.combos
@@ -89,7 +90,7 @@ def test_document_text_roundtrip():
         "ColumnsWitness",
         INTEGERS,
         matrix=schur_system(),
-        payload=witness_to_json(columns_condition(schur_system())),
+        payload=witness_to_json(INTEGERS, columns_condition(schur_system())),
     )
     assert loads(dumps(doc)) == doc
     assert dumps(doc) == dumps(loads(dumps(doc)))  # deterministic serialization
@@ -108,7 +109,7 @@ def sample_documents():
             "ColumnsWitness",
             INTEGERS,
             matrix=system,
-            payload=witness_to_json(columns_condition(system)),
+            payload=witness_to_json(INTEGERS, columns_condition(system)),
         )
     )
     colorable = check_window_l_pr(SCHUR, Window.interval(INTEGERS, 1, 4), 2)
@@ -390,6 +391,99 @@ def test_injective_disjoint_solutions_reject_a_repeated_position(tmp_path):
     assert doc["kind"] == "DisjointSolutions" and verify_certificate(doc)[0]
     doc["payload"]["tuples"][0] = [0, 0, 1]
     assert verify_certificate(doc) == (False, "claimed tuple is not injective")
+
+
+def test_partition_certified_needs_its_payload(capsys, tmp_path):
+    argv = ("window", "--poly", "x+y-z", "--colors", "2", "--window", "1..5")
+    doc = _cli_certificate(tmp_path, *argv)
+    assert doc["kind"] == "PartitionCertified" and verify_certificate(doc)[0]
+    del doc["payload"]
+    with pytest.raises(VerificationError, match="certificate missing field 'payload'"):
+        verify_certificate(doc)
+    path = tmp_path / "no-payload.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("", "error: certificate missing field 'payload'\n")
+
+
+# ---------------------------------------------------------------------------
+# the ColumnsWitness combo codec: "num" or "num/den", read back normalized
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("combo", ["0/0", "1/0"])
+def test_zero_denominator_combo_is_malformed(combo, capsys, tmp_path):
+    doc = _cli_certificate(tmp_path, "linear", "--matrix", "2 3 -5 1")
+    doc["payload"]["combos"][0]["0"] = combo
+    path = tmp_path / "zero-den.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == cli.EXIT_ERROR
+    assert capsys.readouterr() == ("INVALID: malformed certificate: zero denominator\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv,reduced,unreduced",
+    [
+        (("linear", "--matrix", "2 3 -5 1"), "1/2", "2/4"),
+        (("linear", "--domain", "GF(3)[t]", "--matrix", "t 2*t 1 2"), "1/t", "t/t^2"),
+    ],
+)
+def test_unreduced_combo_still_verifies(argv, reduced, unreduced, tmp_path):
+    doc = _cli_certificate(tmp_path, *argv)
+    assert doc["payload"]["combos"][0]["0"] == reduced
+    doc["payload"]["combos"][0]["0"] = unreduced
+    assert verify_certificate(doc) == (True, "witness equations hold")
+    doc["payload"]["combos"][0]["0"] = "1"  # and a wrong coefficient still fails
+    assert verify_certificate(doc) == (False, "witness equations fail")
+
+
+def _linear_document(argv, matrix, cells, combos):
+    domain = argv[argv.index("--domain") + 1] if "--domain" in argv else "Z"
+    return {
+        "command": list(argv),
+        "domain": domain,
+        "elapsed_ms": 0,
+        "enumeration_scheme": "zigzag" if domain == "Z" else "base-3-digits",
+        "kind": "ColumnsWitness",
+        "matrix": [matrix],
+        "payload": {"cells": cells, "combos": combos},
+        "schema": 1,
+        "tool_version": "0.1.0",
+    }
+
+
+PINNED_LINEAR = [
+    (
+        ["linear", "--matrix", "2 3 -5 1", "--print-cert"],
+        "{1,2,3}, {4}",
+        _linear_document(
+            ["linear", "--matrix", "2 3 -5 1", "--print-cert"],
+            ["2", "3", "-5", "1"],
+            [[0, 1, 2], [3]],
+            [{"0": "1/2", "1": "0", "2": "0"}],
+        ),
+    ),
+    (
+        ["linear", "--domain", "GF(3)[t]", "--matrix", "t 2*t 1 2", "--print-cert"],
+        "{1,2}, {3}, {4}",
+        _linear_document(
+            ["linear", "--domain", "GF(3)[t]", "--matrix", "t 2*t 1 2", "--print-cert"],
+            ["t", "2*t", "1", "2"],
+            [[0, 1], [2], [3]],
+            [{"0": "1/t", "1": "0"}, {"0": "2/t", "1": "0", "2": "0"}],
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,cells,expected", PINNED_LINEAR)
+def test_columns_witness_certificate_bytes_are_pinned(argv, cells, expected, capsys):
+    assert cli.main(argv) == cli.EXIT_DEFINITIVE
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
+    verdict = f"verdict: partition regular; witness cells (1-based): {cells}\n"
+    assert out == verdict + json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_known_leaks_are_malformed_not_raised():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import solve_in_span_on_elements
+from oracles import field_from_pair, field_from_ring, solve_in_span_on_elements
 from partreg.rado import (
     ColumnsWitness,
     LinearSystem,
@@ -17,7 +17,6 @@ from partreg.rado import (
 from partreg.rings import (
     INTEGERS,
     enum_element,
-    field_from_ring,
     frac_normalize,
     from_int,
     gf_poly_domain,
@@ -49,8 +48,7 @@ def test_solve_in_span_example():
     target = [from_int(INTEGERS, 2), from_int(INTEGERS, -1)]
     sol = solve_in_span(INTEGERS, cols, target)
     assert sol is not None
-    assert sol[0] == frac_normalize(INTEGERS, from_int(INTEGERS, 2), from_int(INTEGERS, 1))
-    assert sol[1] == frac_normalize(INTEGERS, from_int(INTEGERS, -1), from_int(INTEGERS, 1))
+    assert sol == [(2, 1), (-1, 1)]
 
 
 def test_solve_in_span_inconsistent():
@@ -72,7 +70,7 @@ def test_solve_in_span_solutions_check_out(domain):
         for i in range(m):
             acc = field_from_ring(target[i])
             for j in range(k):
-                acc = acc - sol[j] * field_from_ring(cols[j][i])
+                acc = acc - field_from_pair(domain, sol[j]) * field_from_ring(cols[j][i])
             assert acc.is_zero()
 
 
@@ -218,9 +216,17 @@ def test_witness_rejects_tampering():
     bad = ColumnsWitness([[0, 1], [2]], witness.combos)
     assert not verify_witness(system, bad)
     # wrong combo coefficient breaks the span equation
-    two = frac_normalize(INTEGERS, from_int(INTEGERS, 2), from_int(INTEGERS, 1))
+    two = frac_normalize(INTEGERS, 2, 1)
     bad2 = ColumnsWitness(witness.cells, [{j: two for j in witness.combos[0]}])
     assert not verify_witness(system, bad2)
+
+
+def test_witness_with_a_zero_denominator_is_refused():
+    # cross-multiplied, 1/0 * 1 + 1/0 * (-1) would leave a zero residual numerator
+    system = zmat([[1, 1, -1]])
+    bad = ColumnsWitness([[0, 2], [1]], [{0: (1, 0), 2: (1, 0)}])
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        verify_witness(system, bad)
 
 
 def test_column_permutation_preserves_existence():

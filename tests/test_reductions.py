@@ -2,10 +2,10 @@ import random
 
 import pytest
 
+from oracles import eval_field, field_from_ring, frac
 from partreg import reductions
 from partreg.polys import (
     MultiPoly,
-    eval_field,
     is_homogeneous,
     is_translation_invariant,
     parse_poly,
@@ -21,8 +21,6 @@ from partreg.reductions import (
 from partreg.rings import (
     INTEGERS,
     enum_element,
-    field_from_ring,
-    frac_normalize,
     from_int,
     gf_poly_domain,
     nonzero_prefix,
@@ -50,7 +48,7 @@ def random_poly(domain, nvars, rng, max_terms=3, max_deg=3, coeff_pool=12):
 
 def random_nonzero_fraction(domain, rng):
     pool = nonzero_prefix(domain, 20)
-    return frac_normalize(domain, rng.choice(pool), rng.choice(pool))
+    return frac(domain, rng.choice(pool), rng.choice(pool))
 
 
 # ---------------------------------------------------------------------------
