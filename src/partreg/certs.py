@@ -85,7 +85,7 @@ _CODECS = {
     "window": (window_to_json, window_from_json),
     "matrix": (matrix_to_json, matrix_from_json),
     "colors": (_as_is, _as_is),
-    "delta": (lambda delta: str(Fraction(delta)), lambda domain, text: Fraction(text)),
+    "delta": (lambda delta: str(Fraction(delta)), lambda domain, text: windows.density_delta(text)),
     "mode": (_as_is, _as_is),
     "injective": (_as_is, _as_is),
     "coloring_spec": (str, colorings.parse_coloring_spec),

@@ -6,11 +6,11 @@ definitive verdict (a certificate, a complete decision, a found object),
 refutation scan), 1 means a usage or input error, or a failed verification.
 
 main parses every input once, in one order (domain, polynomial, coloring,
-window, matrix), so a malformed input fails the same way in every command.
-Each _cmd_* then runs its engine and returns (certificate document or None,
-report lines, exit code).  main alone times that run, stamps the document's
-elapsed_ms and writes it to --out or prints it for --print-cert; with no
-document, it says that --out was not written.
+window, matrix, delta), before its clock starts, so a malformed input fails
+the same way in every command.  Each _cmd_* then runs its engine and returns
+(certificate document or None, report lines, exit code).  main alone times
+that run, stamps the document's elapsed_ms and writes it to --out or prints
+it for --print-cert; with no document, it says that --out was not written.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import argparse
 import functools
 import sys
 import time
-from fractions import Fraction
 
 from . import certs, colorings, polys, rado, reductions, rings, windows
 from .rings import ParseError
@@ -58,6 +57,8 @@ def _parse_inputs(args):
         args.window = _parse_window(domain, args.window)
     if getattr(args, "matrix", None) is not None:
         args.matrix = _parse_matrix(domain, args.matrix)
+    if getattr(args, "delta", None) is not None:
+        args.delta = windows.density_delta(args.delta, "--delta")
 
 
 def _tuple_text(window, positions):
@@ -112,7 +113,7 @@ def _cmd_window(args):
 
 
 def _cmd_density(args):
-    delta = Fraction(args.delta)
+    delta = args.delta
     cert = windows.density_window_check(args.poly, args.window, delta, args.mode, args.injective)
     note = "" if cert.transferable else " (NOT transferable beyond this window)"
     if cert.kind == "DensityCertified":

@@ -117,51 +117,77 @@ def _trim(coeffs):
     return coeffs
 
 
-# Coefficient-list arithmetic over a coefficient field F (little-endian lists
-# of F's codes, results trimmed).  GF(q)[t] elements, the GF(p^e) field built
-# as GF(p)[u] modulo an irreducible, and the irreducibility search all use it.
+# Coefficient-list arithmetic (little-endian lists, results trimmed), one kernel
+# set per kind of coefficient field.  The _fp_* kernels run on prime-field codes
+# as plain ints, with one % p per output coefficient; the _poly_* kernels call
+# an extension field's ops per coefficient pair (GF(2^e) adds codes by XOR).
+
+
+def _fp_add(p, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([(x + y) % p for x, y in zip(a, b)] + list(a[len(b) :]))
+
+
+def _fp_mul(p, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return []
+    if len(b) == 1:  # a constant: nothing to accumulate
+        return list(a) if b[0] == 1 else [x * b[0] % p for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(b):
+        if x:
+            for j, y in enumerate(a, i):
+                out[j] += x * y
+    return [c % p for c in out]  # GF(p) has no zero divisors: the lead stays nonzero
+
+
+def _fp_divmod(p, a, b):
+    """Quotient and remainder of a by a nonzero b."""
+    rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    inv_lead, n = pow(b[-1], -1, p), len(b) - 1
+    while len(rem) > n:
+        d = len(rem) - 1 - n
+        quo[d] = c = rem.pop() * inv_lead % p  # the leading coefficient cancels
+        rem[d:] = [(r - c * y) % p for r, y in zip(rem[d:], b)]
+        _trim(rem)
+    return quo, rem
 
 
 def _poly_add(F, a, b):
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    add = F.add
-    for i, c in enumerate(b):
-        out[i] = add(out[i], c)
-    return _trim(out)
-
-
-def _poly_neg(F, a):
-    return [F.neg(c) for c in a]
+    return _trim(list(map(F.add, a, b)) + list(a[len(b) :]))
 
 
 def _poly_mul(F, a, b):
-    if not a or not b:
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
     add, mul = F.add, F.mul
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = add(out[i + j], mul(ca, cb))
-    return _trim(out)
+    if len(b) == 1:  # a constant: nothing to accumulate
+        return list(a) if b[0] == 1 else [mul(x, b[0]) for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(b):
+        if x:
+            for j, y in enumerate(a, i):
+                out[j] = add(out[j], mul(x, y))
+    return out  # a field has no zero divisors: the lead stays nonzero
 
 
 def _poly_divmod(F, a, b):
     """Quotient and remainder of a by a nonzero b."""
-    rem = list(a)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = F.inv(b[-1])
-    sub, mul = F.sub, F.mul
-    while len(rem) >= len(b):
-        c = mul(rem[-1], inv_lead)
-        d = len(rem) - len(b)
-        quo[d] = c
-        for i, cb in enumerate(b):
-            rem[d + i] = sub(rem[d + i], mul(c, cb))
+    rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    inv_lead, n, sub, mul = F.inv(b[-1]), len(b) - 1, F.sub, F.mul
+    while len(rem) > n:
+        d = len(rem) - 1 - n
+        quo[d] = c = mul(rem.pop(), inv_lead)  # the leading coefficient cancels
+        rem[d:] = [sub(r, mul(c, y)) for r, y in zip(rem[d:], b)]
         _trim(rem)
-    return _trim(quo), rem
+    return quo, rem
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,20 +203,7 @@ def _least_irreducible(p, e):
 
 class _PrimeField:
     def __init__(self, p):
-        self.q = p
-        self.p = p
-
-    def add(self, a, b):
-        return (a + b) % self.q
-
-    def sub(self, a, b):
-        return (a - b) % self.q
-
-    def neg(self, a):
-        return (-a) % self.q
-
-    def mul(self, a, b):
-        return (a * b) % self.q
+        self.q = self.p = p
 
     def inv(self, a):
         if a == 0:
@@ -208,22 +221,24 @@ class _ExtensionField:
     """GF(p^e) as GF(p)[u] modulo the lex-least monic irreducible of degree e.
 
     The code of a residue is its enumeration index in GF(p)[t]: the base-p
-    digits are its coefficients, low degree first.  Each op is memoised per
-    operand pair in a fixed-size cache instead of a q x q table, so a large
-    field such as GF(2^16) costs nothing up front.
+    digits are its coefficients, low degree first.  Each op but XOR in
+    characteristic 2 is memoised per operand pair in a fixed-size cache
+    instead of a q x q table, so a large field such as GF(2^16) costs nothing
+    up front.
     """
 
     def __init__(self, p, e):
-        self.p = p
-        self.q = p**e
+        self.p, self.q = p, p**e
         self.modulus = _least_irreducible(p, e)
         base = gf_poly_domain(p)
         modulus = DomainElement(base, self.modulus)
         residue = functools.partial(enum_element, base)
         memo = functools.lru_cache(maxsize=_OP_CACHE_SIZE)
-        self.add = memo(lambda a, b: enum_index(residue(a) + residue(b)))
-        self.neg = memo(lambda a: enum_index(-residue(a)))
-        self.sub = memo(lambda a, b: enum_index(residue(a) - residue(b)))
+        if p == 2:  # codes are base-2 digit vectors, so adding or subtracting is XOR
+            self.add = self.sub = operator.xor
+        else:
+            self.add = memo(lambda a, b: enum_index(residue(a) + residue(b)))
+            self.sub = memo(lambda a, b: enum_index(residue(a) - residue(b)))
         self.mul = memo(lambda a, b: enum_index((residue(a) * residue(b)).divmod(modulus)[1]))
         self.inv = memo(self._inv)
 
@@ -287,12 +302,6 @@ def _poly_unit(F, a):
     return (F.inv(a[-1]),) if a else (1,)
 
 
-def _poly_gcd(F, a, b):
-    while b:
-        a, b = b, _poly_divmod(F, a, b)[1]
-    return tuple(_poly_mul(F, a, _poly_unit(F, a)))
-
-
 @functools.lru_cache(maxsize=None)
 def raw_ops(kind, q):
     """The RawOps of Z (q None) or GF(q)[t]; only here does arithmetic depend on kind."""
@@ -312,17 +321,28 @@ def raw_ops(kind, q):
             0,
         )
     F = _coeff_field(q)
-    mul = functools.partial(_poly_mul, F)
+    if isinstance(F, _PrimeField):
+        add, mul, divmod_ = (functools.partial(k, F.p) for k in (_fp_add, _fp_mul, _fp_divmod))
+    else:
+        add, mul, divmod_ = (functools.partial(k, F) for k in (_poly_add, _poly_mul, _poly_divmod))
+    unit = functools.partial(_poly_unit, F)
+    minus_one = (F.p - 1,)  # -1 has code p - 1 in any GF(p^e): one in characteristic 2
+
+    def gcd(a, b):
+        while b:
+            a, b = b, divmod_(a, b)[1]
+        return tuple(mul(a, unit(a)))
+
     return RawOps(
         (),
         (1,),
-        functools.partial(_poly_add, F),
-        functools.partial(_poly_neg, F),
+        add,
+        lambda a: mul(a, minus_one),
         mul,
         lambda a, n: power(mul, (1,), a, n),
-        functools.partial(_poly_divmod, F),
-        functools.partial(_poly_gcd, F),
-        functools.partial(_poly_unit, F),
+        divmod_,
+        gcd,
+        unit,
         lambda n: _trim([F.from_int(n)]),
         tuple,
         F.p,

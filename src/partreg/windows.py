@@ -129,18 +129,19 @@ class _RawWindow:
 
     def at_each(self, terms):
         """Raw values of univariate raw terms at every element, in window order."""
-        add, mul = self.ops.add, self.ops.mul
+        ops = self.ops
         total = None
         for (e,), c in terms.items():
             if e:
-                column = self.columns.get(e)
-                if column is None:
-                    column = self.columns[e] = [powers[e] for powers in self.powers]
-                part = map(mul, itertools.repeat(c), column)
+                part = self.columns.get(e)
+                if part is None:
+                    part = self.columns[e] = [powers[e] for powers in self.powers]
+                if ops.freeze(c) != ops.one:  # a coefficient of one takes the column as it is
+                    part = map(ops.mul, itertools.repeat(c), part)
             else:
                 part = itertools.repeat(c, len(self.values))
-            total = list(part) if total is None else list(map(add, total, part))
-        return [self.ops.zero] * len(self.values) if total is None else total
+            total = list(part) if total is None else list(map(ops.add, total, part))
+        return [ops.zero] * len(self.values) if total is None else total
 
 
 def enumerate_roots(p, window, injective=False):
@@ -402,6 +403,16 @@ def transfers(p, mode):
     raise ValueError("mode must be 'additive' or 'multiplicative'")
 
 
+def density_delta(value, name="delta"):
+    """value as a Fraction in (0, 1], the only thresholds that say anything; else ValueError."""
+    try:
+        if 0 < (delta := Fraction(value)) <= 1:
+            return delta
+    except (TypeError, ValueError, ArithmeticError):
+        pass  # not a finite rational at all
+    raise ValueError(f"{name} must be a rational in (0, 1], not {value!r}")
+
+
 def density_window_check(p, window, delta, mode="additive", injective=False):
     """Certify or refute the delta-density property on one window.
 
@@ -410,9 +421,7 @@ def density_window_check(p, window, delta, mode="additive", injective=False):
     polynomial is translation invariant (additive mode) or homogeneous
     (multiplicative mode), which the transferable field records.
     """
-    delta = Fraction(delta)
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
+    delta = density_delta(delta)
     transferable = transfers(p, mode)
     hypergraph = enumerate_roots(p, window, injective)
     avoider = max_avoiding_subset(len(window), hypergraph.edges)

@@ -182,3 +182,111 @@ def solve_in_span_on_elements(domain, columns, target):
             s = s - field_from_ring(a[idx][j]) * x[j]
         x[c] = s / field_from_ring(a[idx][c])
     return [(v.num.value, v.den.value) for v in x]
+
+
+# ---------------------------------------------------------------------------
+# per-coefficient GF(q)[t] kernels
+# ---------------------------------------------------------------------------
+
+
+class DigitField:
+    """GF(p^e) on the codes rings uses (base-p digit vectors of residues
+    modulo a monic `modulus`, low degree first), by schoolbook digit
+    arithmetic.  A prime field is the case modulus = (0, 1)."""
+
+    def __init__(self, p, modulus):
+        self.p, self.modulus, self.e = p, tuple(modulus), len(modulus) - 1
+        self.q = p**self.e
+
+    def _digits(self, code):
+        return [code // self.p**i % self.p for i in range(self.e)]
+
+    def _code(self, digits):
+        return sum(d % self.p * self.p**i for i, d in enumerate(digits))
+
+    def add(self, a, b):
+        return self._code(x + y for x, y in zip(self._digits(a), self._digits(b)))
+
+    def sub(self, a, b):
+        return self._code(x - y for x, y in zip(self._digits(a), self._digits(b)))
+
+    def neg(self, a):
+        return self.sub(0, a)
+
+    def mul(self, a, b):
+        product = [0] * (2 * self.e - 1)
+        for i, x in enumerate(self._digits(a)):
+            for j, y in enumerate(self._digits(b)):
+                product[i + j] += x * y
+        for k in range(len(product) - 1, self.e - 1, -1):  # reduce by the monic modulus
+            c = product.pop()
+            for i, m in enumerate(self.modulus[:-1]):
+                product[k - self.e + i] -= c * m
+        return self._code(product)
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of 0 in GF(q)")
+        if self.e == 1:
+            return pow(a, -1, self.p)
+        result, n = 1, self.q - 2  # a^(q-2) by square-and-multiply
+        while n:
+            if n & 1:
+                result = self.mul(result, a)
+            a, n = self.mul(a, a), n >> 1
+        return result
+
+
+def _trim(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def poly_add(F, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    add = F.add
+    for i, c in enumerate(b):
+        out[i] = add(out[i], c)
+    return _trim(out)
+
+
+def poly_neg(F, a):
+    return [F.neg(c) for c in a]
+
+
+def poly_mul(F, a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    add, mul = F.add, F.mul
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] = add(out[i + j], mul(ca, cb))
+    return _trim(out)
+
+
+def poly_divmod(F, a, b):
+    """Quotient and remainder of a by a nonzero b."""
+    rem = list(a)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    inv_lead = F.inv(b[-1])
+    sub, mul = F.sub, F.mul
+    while len(rem) >= len(b):
+        c = mul(rem[-1], inv_lead)
+        d = len(rem) - len(b)
+        quo[d] = c
+        for i, cb in enumerate(b):
+            rem[d + i] = sub(rem[d + i], mul(c, cb))
+        _trim(rem)
+    return _trim(quo), rem
+
+
+def poly_gcd(F, a, b):
+    """The monic gcd (zero for two zeros) as a tuple, by Euclid on poly_divmod."""
+    while b:
+        a, b = b, poly_divmod(F, a, b)[1]
+    return tuple(poly_mul(F, a, (F.inv(a[-1]),) if a else (1,)))

@@ -304,6 +304,30 @@ def test_tampered_payload_free_verdicts_are_rejected(kind):
     assert not ok, message
 
 
+@pytest.mark.parametrize(
+    "kind, delta",
+    [
+        ("DensityCertified", "7"),
+        ("DensityCertified", "3/2"),
+        ("DensityCertified", float("inf")),  # JSON's Infinity
+        ("DensityAvoider", "0"),
+        ("DensityAvoider", "-1/2"),
+        ("DensityAvoider", float("nan")),
+    ],
+)
+def test_delta_outside_the_unit_interval_is_malformed(kind, delta, tmp_path, capsys):
+    # such a delta makes a vacuous claim, and `density` refuses it too
+    doc = copy.deepcopy(next(d for d in every_kind_documents() if d["kind"] == kind))
+    assert verify_certificate(doc)[0]
+    doc["delta"] = delta
+    ok, message = verify_certificate(doc)
+    assert not ok and message.startswith("malformed certificate: delta must"), message
+    path = tmp_path / "cert.json"
+    path.write_text(dumps(doc))
+    assert cli.main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("INVALID: malformed certificate: ")
+
+
 def test_constant_root_needs_non_injective_roots():
     doc = next(d for d in every_kind_documents() if "constant_root" in d["payload"])
     assert verify_certificate(doc)[0]

@@ -331,6 +331,14 @@ def test_bad_input_is_exit_1(capsys):
         assert "error:" in err
 
 
+@pytest.mark.parametrize("delta", ["1/0", "nan", "0", "3/2"])
+def test_bad_delta_is_exit_1(capsys, delta):
+    argv = ["density", "--poly", "x+y-2*z", "--window", "1..9", "--delta", delta]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: --delta must be a rational in (0, 1], not {delta!r}\n"
+
+
 def test_deep_parentheses_are_exit_1(capsys):
     ok = "(" * 200 + "x+y-z" + ")" * 200
     assert run(capsys, "roots", "--poly", ok, "--window", "1..5")[0] == EXIT_DEFINITIVE

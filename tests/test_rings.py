@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from oracles import frac, is_irreducible_by_trial_division
 from partreg import rings
 from partreg.rings import (
@@ -203,6 +204,38 @@ def test_ops_table_stays_out_of_tag_identity():
     assert gf_poly_domain(4).ops is tag.ops
     for twin in (pickle.loads(pickle.dumps(tag)), copy.deepcopy(tag)):
         assert twin == tag and twin.ops is tag.ops
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 2**61 - 1, 4, 8, 9])
+def test_kernels_match_per_coefficient_oracle(q):
+    # rings runs GF(p)[t] on plain ints and adds GF(2^e) codes by XOR; the
+    # oracle calls a digit-arithmetic field once per coefficient pair
+    domain = gf_poly_domain(q)
+    ops, field = domain.ops, domain.coeff_field
+    F = oracles.DigitField(field.p, getattr(field, "modulus", (0, 1)))
+    rng = random.Random(q)
+
+    def draw():
+        shape = rng.randrange(6)
+        if shape < 3:  # zero, the constant one, another constant
+            return [(), (1,), (rng.randrange(1, q),)][shape]
+        return tuple(rng.randrange(q) for _ in range(rng.randrange(1, 8))) + (rng.randrange(1, q),)
+
+    for _ in range(400):
+        a, b = draw(), draw()
+        results = [
+            (ops.add(a, b), oracles.poly_add(F, a, b)),
+            (ops.neg(a), oracles.poly_neg(F, a)),
+            (ops.mul(a, b), oracles.poly_mul(F, a, b)),
+            (ops.gcd(a, b), list(oracles.poly_gcd(F, a, b))),
+        ]
+        if b:  # a divisor longer than the dividend leaves it as the remainder
+            quo, rem = ops.divmod(a, b)
+            want_quo, want_rem = oracles.poly_divmod(F, a, b)
+            results += [(quo, want_quo), (rem, want_rem)]
+        for got, want in results:
+            assert list(got) == want, (a, b)
+            assert not got or got[-1] != 0  # trimmed
 
 
 def test_large_extension_field_inverse():

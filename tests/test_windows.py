@@ -165,6 +165,20 @@ def test_cancelling_coefficients_match_naive_oracle(domain, text, through_minus_
     assert sum(t[0] == minus_one for t in fast.tuples) == through_minus_one[injective]
 
 
+@pytest.mark.parametrize("domain", [INTEGERS, GF4])
+@pytest.mark.parametrize("text", ["x+y+z", "x^2+y^2-z^2", "x^2+y^2+z^2"])
+def test_coefficients_of_one_match_naive_oracle(domain, text):
+    # a coefficient of one takes a cached power column as it is, so a column
+    # changed in place would spoil the later rows, or a second call on the
+    # same window if the cache ever outlived one call
+    p = pp(domain, text, ["x", "y", "z"])
+    window = Window.enumeration_prefix(domain, 15)
+    slow = enumerate_roots_naive(p, window)
+    for _ in range(2):
+        fast = enumerate_roots(p, window)
+        assert (fast.tuples, fast.edges) == (slow.tuples, slow.edges)
+
+
 def test_sparse_exponents_are_not_tabulated():
     p = pp(INTEGERS, "x^1000000 + y^1000000 - z", ["x", "y", "z"])
     assert enumerate_roots(p, Window.interval(INTEGERS, 1, 2)).tuples == [(0, 0, 1)]
