@@ -78,6 +78,13 @@ def _as_is(*args):
     return args[-1]
 
 
+def _flag_from_json(domain, data):
+    """Decode a JSON boolean; any other value is malformed."""
+    if not isinstance(data, bool):
+        raise ValueError(f"injective must be true or false, not {data!r}")
+    return data
+
+
 # field -> (encode(value), decode(domain, data)): the format make_certificate and _check share
 _CODECS = {
     "poly": (polys.poly_to_records, polys.poly_from_records),
@@ -87,7 +94,7 @@ _CODECS = {
     "colors": (_as_is, _as_is),
     "delta": (lambda delta: str(Fraction(delta)), lambda domain, text: windows.density_delta(text)),
     "mode": (_as_is, _as_is),
-    "injective": (_as_is, _as_is),
+    "injective": (_as_is, _flag_from_json),
     "coloring_spec": (str, colorings.parse_coloring_spec),
 }
 
@@ -204,7 +211,7 @@ def _claimed_root(p, window, positions, injective):
 def _check(doc, kind, domain):
     fields = {name: _CODECS[name][1](domain, doc[name]) for name in _FIELDS[kind]}
     p, window, payload = fields.get("poly"), fields.get("window"), fields.get("payload")
-    injective = doc.get("injective", False)
+    injective = _CODECS["injective"][1](domain, doc.get("injective", False))
     if kind == "ColumnsWitness":
         ok = rado.verify_witness(fields["matrix"], witness_from_json(domain, payload))
         return ok, "witness equations hold" if ok else "witness equations fail"

@@ -5,11 +5,13 @@ raw coefficients, stored frozen (ops.freeze): ints over Z, code tuples over
 GF(q)[t].  Raw terms are checked at three edges, the MultiPoly constructor,
 parse_poly and poly_from_records, all by the constructor's check.  All
 arithmetic runs on raw term dicts (raw_add, raw_neg, raw_mul, and powers by
-rings.power), and one substitute_and_clear fold serves composition, the
-reductions and their sampled identity checks, system combination and exact
-evaluation in the ring.  The module also decides homogeneity and additive
-translation invariance (by Hasse derivatives, without expanding p(x+r)), and
-folds a polynomial system into one polynomial with the same roots.
+rings.power).  MultiPoly.compose is the one entry point for substituting
+polynomials, with or without clearing denominators: the reductions and system
+combination go through it.  One substitute_and_clear fold serves it, the
+reductions' sampled identity checks and exact evaluation in the ring.  The
+module also decides homogeneity and additive translation invariance (by Hasse
+derivatives, without expanding p(x+r)), and folds a polynomial system into one
+polynomial with the same roots.
 """
 
 from __future__ import annotations
@@ -109,17 +111,23 @@ class MultiPoly:
         ring = poly_ring(self.domain.ops, self.nvars)
         return MultiPoly(self.domain, self.nvars, ring.pow(self.terms, n))
 
-    def compose(self, subs):
-        """Substitute subs[i] (all sharing one arity) for variable i."""
-        if len(subs) != self.nvars:
+    def compose(self, blocks):
+        """Clear p(n_1/d_1, ..., n_k/d_k) with (prod d_i)^deg(p).
+
+        blocks[i] is the (numerator, denominator) pair of polynomials, all of
+        one arity, that replaces variable i; a None denominator substitutes
+        the numerator alone and clears nothing, so all-None blocks compose.  A
+        polynomial in no variables, given no blocks, is its own constant.
+        """
+        if len(blocks) != self.nvars:
             raise ValueError("substitution arity mismatch")
-        if not subs:
-            raise ValueError("compose requires at least one variable")
-        nvars = subs[0].nvars
+        nvars = blocks[0][0].nvars if blocks else 0
+        subs = [n for n, _ in blocks] + [d for _, d in blocks if d is not None]
         if any(s.domain != self.domain or s.nvars != nvars for s in subs):
             raise ValueError("mixed-arity or mixed-domain polynomial arithmetic")
         ring = poly_ring(self.domain.ops, nvars)
-        out = substitute_and_clear(ring, ring.lift(self.terms), [(s.terms, None) for s in subs])
+        raw = [(n.terms, None if d is None else d.terms) for n, d in blocks]
+        out = substitute_and_clear(ring, ring.lift(self.terms), raw, [self.degree()] * self.nvars)
         return MultiPoly(self.domain, nvars, out)
 
     def substitute_first(self, value):
@@ -367,8 +375,8 @@ def combine_system(ps):
     """A single polynomial whose K-roots are the common K-roots of ps.
 
     Iterates acc -> acc^2 * f(next/acc) = acc^2*a0 + acc*next*a1 + next^2,
-    where f(w) = w^2 + a1*w + a0 is rootless in K: one substitute-and-clear
-    of f with the block (next, acc).
+    where f(w) = w^2 + a1*w + a0 is rootless in K: f.compose with the block
+    (next, acc).
     """
     if not ps:
         raise ValueError("empty system")
@@ -377,12 +385,11 @@ def combine_system(ps):
     if any(p.domain != domain or p.nvars != nvars for p in ps):
         raise ValueError("mixed domains or arities in system")
     a0, a1 = rootless_quadratic(domain)
-    ring = poly_ring(domain.ops, nvars)
-    f = ring.lift({(2,): domain.ops.one, (1,): a1.value, (0,): a0.value})
-    acc = ps[0].terms
+    f = MultiPoly(domain, 1, {(2,): domain.ops.one, (1,): a1.value, (0,): a0.value})
+    acc = ps[0]
     for p in ps[1:]:
-        acc = substitute_and_clear(ring, f, [(p.terms, acc)], [2])
-    return MultiPoly(domain, nvars, acc)
+        acc = f.compose([(p, acc)])
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +540,10 @@ def parse_poly(domain, text, var_order=None):
     return _PolyParser(domain, text, var_order).parse()
 
 
-def poly_to_string(p, names=None):
+def poly_to_string(p):
     if p.is_zero():
         return "0"
-    if names is None:
-        names = [f"x{i+1}" for i in range(p.nvars)]
+    names = [f"x{i+1}" for i in range(p.nvars)]
     parts = []
     for exps in sorted(p.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
         coeff = p.terms[exps]

@@ -16,9 +16,10 @@ Each transform rewrites root-existence questions:
 
 The clearing exponent is always the full total degree, even when a smaller
 power would clear; fidelity to the construction beats minimality.  Every
-transform is one substitute-and-clear over per-variable (numerator,
-denominator) blocks, and apply_transform checks its output against the same
-formula evaluated in the ring at 25 sampled points.
+transform is one MultiPoly.compose over per-variable (numerator,
+denominator) blocks, which one table (_BLOCKS) gives for all five, and
+apply_transform checks its output against the same formula evaluated in the
+ring at 25 sampled points.
 """
 
 from __future__ import annotations
@@ -26,11 +27,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .polys import MultiPoly, is_homogeneous, is_translation_invariant, poly_ring
-from .polys import substitute_and_clear
+from .polys import MultiPoly, is_homogeneous, is_translation_invariant, substitute_and_clear
 from .rings import nonzero_prefix
 
-TRANSFORM_IDS = ("shift", "q3", "dq4", "gate:mul", "gate:add")
+# transform id -> (a, b, block): the output has a*n + b variables z_0, z_1, ...
+# for an input in n variables, and block(z, n, i, g) is the (numerator,
+# denominator or None) pair that replaces variable i, g being the gated index.
+_BLOCKS = {
+    "shift": (2, 0, lambda z, n, i, g: (z(i) + z(n + i), None)),
+    "q3": (3, 0, lambda z, n, i, g: (z(3 * i) - z(3 * i + 1), z(3 * i + 2))),
+    "dq4": (4, 0, lambda z, n, i, g: (z(4 * i) - z(4 * i + 1), z(4 * i + 2) - z(4 * i + 3))),
+    "gate:mul": (1, 1, lambda z, n, i, g: (z(i), z(n) if i == g else None)),
+    "gate:add": (1, 1, lambda z, n, i, g: (z(i) - z(n) if i == g else z(i), None)),
+}
+TRANSFORM_IDS = tuple(_BLOCKS)
+_GATE_MODES = {"multiplicative": "gate:mul", "additive": "gate:add"}
 
 
 @dataclass
@@ -40,46 +51,24 @@ class ReductionReport:
     verified: tuple  # subset of ("homogeneous", "translation-invariant", "identity-checked")
 
 
-def _shift_blocks(p):
-    n, domain = p.nvars, p.domain
-    return [
-        (MultiPoly.variable(domain, 2 * n, i) + MultiPoly.variable(domain, 2 * n, n + i), None)
-        for i in range(n)
-    ]
+def _blocks(p, transform_id, var_index=0):
+    """The blocks of a transform of p, one per variable, for MultiPoly.compose."""
+    if transform_id not in _BLOCKS:
+        raise ValueError(f"unknown transform {transform_id!r}")
+    a, b, block = _BLOCKS[transform_id]
+    n = p.nvars
+    if transform_id in _GATE_MODES.values() and not 0 <= var_index < n:
+        raise ValueError("gated variable index out of range")
+
+    def z(j):
+        return MultiPoly.variable(p.domain, a * n + b, j)
+
+    return [block(z, n, i, var_index) for i in range(n)]
 
 
 def htp_shift(p):
     """p'(y1..yn, z1..zn) = p(y1+z1, ..., yn+zn); arity doubles."""
-    return _substitute_and_clear(p, _shift_blocks(p))
-
-
-def _block_difference(domain, nvars, i, j):
-    return MultiPoly.variable(domain, nvars, i) - MultiPoly.variable(domain, nvars, j)
-
-
-def _substitute_and_clear(p, blocks):
-    """Clear p(n_1/d_1, ..., n_k/d_k) with (prod d_i)^deg(p).
-
-    blocks[i] is the (numerator, denominator) pair of polynomials, all of one
-    arity, that replaces variable i; a None denominator substitutes the
-    numerator alone and clears nothing.  The fold runs on their raw terms.
-    """
-    nvars = blocks[0][0].nvars if blocks else 0
-    ring = poly_ring(p.domain.ops, nvars)
-    raw_blocks = [(n.terms, None if d is None else d.terms) for n, d in blocks]
-    out = substitute_and_clear(ring, ring.lift(p.terms), raw_blocks, [p.degree()] * p.nvars)
-    return MultiPoly(p.domain, nvars, out)
-
-
-def _q3_blocks(p):
-    total = 3 * p.nvars
-    return [
-        (
-            _block_difference(p.domain, total, 3 * i, 3 * i + 1),
-            MultiPoly.variable(p.domain, total, 3 * i + 2),
-        )
-        for i in range(p.nvars)
-    ]
+    return p.compose(_blocks(p, "shift"))
 
 
 def quotient3_homogenize(p):
@@ -87,37 +76,12 @@ def quotient3_homogenize(p):
 
     The output has 3k variables and is homogeneous of degree k*deg(p).
     """
-    return _substitute_and_clear(p, _q3_blocks(p))
-
-
-def _dq4_blocks(p):
-    total = 4 * p.nvars
-    return [
-        (
-            _block_difference(p.domain, total, 4 * i, 4 * i + 1),
-            _block_difference(p.domain, total, 4 * i + 2, 4 * i + 3),
-        )
-        for i in range(p.nvars)
-    ]
+    return p.compose(_blocks(p, "q3"))
 
 
 def diffquotient4_homogenize(p):
     """Clear p((z1-z2)/(z3-z4), ...) with (prod (z_{4i-1}-z_{4i}))^deg(p)."""
-    return _substitute_and_clear(p, _dq4_blocks(p))
-
-
-def _gate_blocks(p, mode, var_index):
-    if not 0 <= var_index < p.nvars:
-        raise ValueError("gated variable index out of range")
-    if mode not in ("multiplicative", "additive"):
-        raise ValueError("mode must be 'multiplicative' or 'additive'")
-    n, domain = p.nvars, p.domain
-    blocks = [(MultiPoly.variable(domain, n + 1, i), None) for i in range(n)]
-    if mode == "multiplicative":
-        blocks[var_index] = (blocks[var_index][0], MultiPoly.variable(domain, n + 1, n))
-    else:
-        blocks[var_index] = (_block_difference(domain, n + 1, var_index, n), None)
-    return blocks
+    return p.compose(_blocks(p, "dq4"))
 
 
 def ratio_gate(p, mode, var_index):
@@ -126,7 +90,9 @@ def ratio_gate(p, mode, var_index):
     The gated variable keeps its position (it becomes y1); y2 is appended as
     the new last variable.
     """
-    return _substitute_and_clear(p, _gate_blocks(p, mode, var_index))
+    if mode not in _GATE_MODES:
+        raise ValueError("mode must be 'multiplicative' or 'additive'")
+    return p.compose(_blocks(p, _GATE_MODES[mode], var_index))
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +129,8 @@ def _identity_sampled(p, out, blocks, rng):
 
 def apply_transform(p, transform_id, var_index=0):
     """Run a transform and re-verify its advertised structural properties."""
-    if transform_id == "shift":
-        blocks = _shift_blocks(p)
-    elif transform_id == "q3":
-        blocks = _q3_blocks(p)
-    elif transform_id == "dq4":
-        blocks = _dq4_blocks(p)
-    elif transform_id in ("gate:mul", "gate:add"):
-        mode = "multiplicative" if transform_id == "gate:mul" else "additive"
-        blocks = _gate_blocks(p, mode, var_index)
-    else:
-        raise ValueError(f"unknown transform {transform_id!r}")
-    out = _substitute_and_clear(p, blocks)
+    blocks = _blocks(p, transform_id, var_index)
+    out = p.compose(blocks)
     verified = []
     if transform_id in ("q3", "dq4"):
         if not p.is_zero() and is_homogeneous(out) == p.nvars * p.degree():

@@ -417,6 +417,25 @@ def test_injective_disjoint_solutions_reject_a_repeated_position(tmp_path):
     assert verify_certificate(doc) == (False, "claimed tuple is not injective")
 
 
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [], {}])
+def test_injective_must_be_a_json_boolean(flag, tmp_path, capsys):
+    # read raw, the truthy "false" made a non-injective window pass as injective
+    argv = ("window", "--poly", "x+y-2z", "--colors", "2", "--window", "1..8", "--injective")
+    doc = _cli_certificate(tmp_path, *argv)
+    assert doc["injective"] is True and verify_certificate(doc)[0]
+    absent = {k: v for k, v in doc.items() if k != "injective"}  # absent means false
+    ok, message = verify_certificate(absent)
+    assert not ok and message.startswith("monochromatic edge"), message
+    doc["injective"] = flag
+    ok, message = verify_certificate(doc)
+    assert not ok and message.startswith("malformed certificate: injective must"), message
+    path = tmp_path / "flagged.json"
+    path.write_text(dumps(doc))
+    capsys.readouterr()  # the window command's own output
+    assert cli.main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("INVALID: malformed certificate: ")
+
+
 def test_partition_certified_needs_its_payload(capsys, tmp_path):
     argv = ("window", "--poly", "x+y-z", "--colors", "2", "--window", "1..5")
     doc = _cli_certificate(tmp_path, *argv)

@@ -167,8 +167,31 @@ def test_compose_against_direct_expansion():
     p = pp(INTEGERS, "x^2 + y", var_order=["x", "y"])
     u_plus_v = pp(INTEGERS, "u + v", var_order=["u", "v"])
     uv = pp(INTEGERS, "u*v", var_order=["u", "v"])
-    composed = p.compose([u_plus_v, uv])
+    composed = p.compose([(u_plus_v, None), (uv, None)])
     assert composed == pp(INTEGERS, "u^2 + 2*u*v + v^2 + u*v", var_order=["u", "v"])
+
+
+def test_compose_clears_denominators_and_checks_its_blocks():
+    p = pp(INTEGERS, "x^2 + y", var_order=["x", "y"])
+    u, v = (pp(INTEGERS, name, var_order=["u", "v"]) for name in ("u", "v"))
+    # (u/v)^2 + u cleared by v^2, the one denominator to the degree of p
+    assert p.compose([(u, v), (u, None)]) == pp(INTEGERS, "u^2 + u*v^2", var_order=["u", "v"])
+    with pytest.raises(ValueError, match="substitution arity mismatch"):
+        p.compose([(u, None)])
+    with pytest.raises(ValueError, match="substitution arity mismatch"):
+        p.compose([(u, None)] * 3)
+    w = MultiPoly.variable(INTEGERS, 3, 0)
+    u_gf3 = MultiPoly.variable(GF3, 2, 0)
+    for blocks in (
+        [(u, None), (w, None)],  # a numerator of another arity
+        [(u, None), (u_gf3, None)],  # a numerator of another domain
+        [(u, w), (u, None)],  # a denominator of another arity
+        [(u, None), (u, u_gf3)],  # a denominator of another domain
+    ):
+        with pytest.raises(ValueError, match="mixed-arity or mixed-domain"):
+            p.compose(blocks)
+    five = MultiPoly.constant(INTEGERS, 0, 5)
+    assert five.compose([]) == five
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +259,7 @@ def shifted_by_expansion(p):
     r = MultiPoly.variable(p.domain, n + 1, n)
     shifted = [MultiPoly.variable(p.domain, n + 1, i) + r for i in range(n)]
     unshifted = MultiPoly(p.domain, n + 1, {e + (0,): c for e, c in p.terms.items()})
-    return p.compose(shifted) == unshifted
+    return p.compose([(s, None) for s in shifted]) == unshifted
 
 
 @pytest.mark.parametrize(

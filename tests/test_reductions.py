@@ -215,19 +215,19 @@ def test_apply_transform_reports():
 
 @pytest.mark.parametrize("transform", TRANSFORM_IDS)
 def test_identity_check_rejects_perturbed_output(transform, monkeypatch):
-    # every transform's output comes from one substitute-and-clear; perturb it
-    honest = reductions._substitute_and_clear
+    # every transform's output comes from one MultiPoly.compose; perturb it
+    honest = MultiPoly.compose
 
-    def perturbed(*args):
-        out = honest(*args)
+    def perturbed(self, blocks):
+        out = honest(self, blocks)
         return out + MultiPoly.variable(out.domain, out.nvars, out.nvars - 1)
 
     for domain in (INTEGERS, GF3):
         p = pp(domain, "x^2*y + 2*y - 1", var_order=["x", "y"])
         assert "identity-checked" in apply_transform(p, transform, var_index=1).verified
-        monkeypatch.setattr(reductions, "_substitute_and_clear", perturbed)
+        monkeypatch.setattr(MultiPoly, "compose", perturbed)
         assert "identity-checked" not in apply_transform(p, transform, var_index=1).verified
-        monkeypatch.setattr(reductions, "_substitute_and_clear", honest)
+        monkeypatch.setattr(MultiPoly, "compose", honest)
 
 
 def test_identity_check_needs_a_checked_point():
