@@ -1,12 +1,16 @@
 """Versioned certificate files and their cheap re-verification paths.
 
-Certificates are plain JSON for diffability.  verify_certificate re-checks
-the payload (witness equations, monochromatic-edge scans, avoider edge
-checks) without repeating the original search.  Verdicts that carry no
-finite payload (no columns-condition witness, a certified or dense window,
-a clean scan) are re-decided: the verifier runs the finite decision again
-and compares its answer with the claim.  A Roots list claims completeness,
-so after each tuple is checked the window's roots are re-enumerated.
+Certificates are plain JSON for diffability.  Their text is exactly
+json.dumps(doc, indent=2, sort_keys=True): ASCII only, sorted keys, two-space
+indent; dumps writes those bytes faster, and tests/test_certs.py pins them.
+
+verify_certificate re-checks the payload (witness equations,
+monochromatic-edge scans, avoider edge checks) without repeating the
+original search.  Verdicts that carry no finite payload (no columns-condition
+witness, a certified or dense window, a clean scan) are re-decided: the
+verifier runs the finite decision again and compares its answer with the
+claim.  A Roots list claims completeness, so after each tuple is checked the
+window's roots are re-enumerated.
 """
 
 from __future__ import annotations
@@ -131,8 +135,68 @@ def from_window_certificate(cert, poly, var_names=None, command=None):
     )
 
 
+_compact = json.JSONEncoder(separators=(",", ":")).encode  # the C encoder
+_quote = json.encoder.encode_basestring_ascii
+
+
 def dumps(doc):
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """Exactly json.dumps(doc, indent=2, sort_keys=True), mostly from the C encoder.
+
+    With indent set, json falls back to its pure-Python encoder.  Here
+    strings and scalars are encoded in C.  A list with no strings in it is
+    encoded compactly in C; when it is flat, or every item is a flat non-empty
+    list (root tuples, edges, colourings), str.replace indents that text.
+    Other lists and str-keyed dicts recurse; any other value is json's own
+    encoding, re-indented.
+    """
+    parts = []
+    _encode(doc, "\n", parts.append)
+    return "".join(parts)
+
+
+def _encode(value, nl, out):
+    """Append value's indented JSON to out; nl is the newline and indent it starts at."""
+    kind = type(value)
+    if kind is str:
+        out(_quote(value))
+    elif kind is dict and all(type(key) is str for key in value):
+        if not value:
+            out("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out(sep + _quote(key) + ": ")
+            _encode(value[key], inner, out)
+            sep = "," + inner
+        out(nl + "}")
+    elif kind is list:
+        if not value:
+            out("[]")
+            return
+        inner = nl + "  "
+        text = _compact(value)
+        if '"' not in text and "[]" not in text:  # no strings (so no keys), no empty list
+            if text.find("[", 1) < 0:  # flat
+                out("[" + inner + text[1:-1].replace(",", "," + inner) + nl + "]")
+                return
+            rows = text[2:-2].replace("],[", '"')  # '"' marks a row break
+            if "[" not in rows and "]" not in rows:  # every item a flat list
+                deeper = inner + "  "
+                rows = rows.replace(",", "," + deeper)
+                rows = rows.replace('"', inner + "]," + inner + "[" + deeper)
+                out("[" + inner + "[" + deeper + rows + inner + "]" + nl + "]")
+                return
+        sep = "[" + inner
+        for item in value:
+            out(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out(nl + "]")
+    elif value is None or kind in (bool, int, float):
+        out(_compact(value))
+    else:  # json's own encoding; encoded JSON holds no raw newline
+        out(json.dumps(value, indent=2, sort_keys=True).replace("\n", nl))
 
 
 def loads(text):

@@ -179,7 +179,7 @@ def _cmd_reduce(args):
 
 
 def _cmd_verify(args):
-    with open(args.file) as handle:
+    with open(args.file, encoding="utf-8") as handle:  # RFC 8259: JSON is UTF-8
         doc = certs.loads(handle.read())
     ok, message = certs.verify_certificate(doc)
     code = EXIT_DEFINITIVE if ok else EXIT_ERROR
@@ -274,7 +274,7 @@ def main(argv=None):
         if doc is not None:
             doc["elapsed_ms"] = elapsed
             if args.out:
-                with open(args.out, "w") as handle:
+                with open(args.out, "w", encoding="utf-8") as handle:
                     handle.write(certs.dumps(doc) + "\n")
                 print(f"certificate written to {args.out}")
             elif args.print_cert:

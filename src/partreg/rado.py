@@ -117,16 +117,15 @@ def solve_in_span(domain, columns, target):
     return x
 
 
-def _lex_subsets(items):
-    """Nonempty subsets of a sorted list in lexicographic index order."""
+def _lex_subsets(items, start=0, current=()):
+    """Nonempty subsets of a sorted list in lexicographic index order.
 
-    def rec(start, current):
-        for i in range(start, len(items)):
-            chosen = current + [items[i]]
-            yield chosen
-            yield from rec(i + 1, chosen)
-
-    yield from rec(0, [])
+    Each subset extends current by items from index start on.
+    """
+    for i in range(start, len(items)):
+        chosen = [*current, items[i]]
+        yield chosen
+        yield from _lex_subsets(items, i + 1, chosen)
 
 
 def columns_condition(system, force=False):

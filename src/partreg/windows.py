@@ -216,6 +216,7 @@ def enumerate_roots(p, window, injective=False):
                 descend(substitute_first_raw(ops, terms, powers), prefix + (i,))
 
     descend(terms, ())
+    del descend  # it refers to itself: without this, the window tables wait for the cyclic GC
     found.sort()
     edges = sorted({tuple(sorted(set(tup))) for tup in found})
     return RootHypergraph(window, found, edges)

@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from partreg import cli
@@ -94,6 +94,35 @@ def test_document_text_roundtrip():
     )
     assert loads(dumps(doc)) == doc
     assert dumps(doc) == dumps(loads(dumps(doc)))  # deterministic serialization
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats()
+_TEXT = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7f,:[]{} aé€☃\U0001f600'), max_size=6)
+_DOCUMENTS = st.recursive(
+    _SCALARS | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.lists(_SCALARS, min_size=1, max_size=4), max_size=4)  # rows: root tuples, edges
+    | st.dictionaries(_TEXT, inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_DOCUMENTS)
+@example([1, [2]])
+@example([[1], 2])
+@example(["a,b", "c"])
+@example([["a,b"], ["c"]])
+@example([{}, [{}]])
+@example([[1, 2], [3], []])
+@example({"a": [[]], "b": [[], [1]], "c": [[1, [2]], [3]], "d": [[[1]], [[2]]]})
+@example((1, (2, 3), [(4, 5), (6,)]))
+@example({2: [-(10**30), 1.5e300, float("nan")], 10: {"k": [True, None, -0.0]}})
+@example(['a"b', "c\\d", "e\nf", "g,h", "[i]", "{j}", "ünï", "\x01"])
+def test_dumps_is_json_dumps_indent_2_sort_keys(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

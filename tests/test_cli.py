@@ -282,6 +282,43 @@ def test_verify_rejects_tampering(capsys, tmp_path):
     assert out.startswith("INVALID")
 
 
+def test_verify_reads_utf8_under_a_c_locale(tmp_path):
+    """Certificate files are UTF-8 (RFC 8259), whatever the locale's encoding."""
+    doc = {
+        "schema": 1,
+        "tool_version": partreg.__version__,
+        "kind": "Roots",
+        "domain": "Z",
+        "enumeration_scheme": "zigzag",
+        "command": [],
+        "injective": False,
+        "poly": {
+            "nvars": 3,
+            "terms": [
+                {"c": "1", "e": [1, 0, 0]},
+                {"c": "1", "e": [0, 1, 0]},
+                {"c": "-1", "e": [0, 0, 1]},
+            ],
+            "vars": ["x", "y", "z"],
+        },
+        "window": {"elements": ["1", "2", "3"], "provenance": "Schur’s window 1…3, ≤ 3"},
+        "payload": {"tuples": [[0, 0, 1], [0, 1, 2], [1, 0, 2]], "edges": [[0, 1], [0, 1, 2]]},
+    }
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(partreg.__file__))
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    result = subprocess.run(
+        [sys.executable, "-m", "partreg.cli", "verify", str(cert_file)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (EXIT_DEFINITIVE, "")
+    assert result.stdout.startswith("VALID")
+
+
 def test_verify_re_decides_a_certified_window(capsys, tmp_path):
     # a Schur certificate relabelled as x - 2y, which is 2-colorable on the
     # same window, used to print "VALID: structural check only"

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -165,6 +166,18 @@ def test_three_ap_witness():
     witness = columns_condition(system)
     assert witness is not None
     assert verify_witness(system, witness)
+
+
+def test_columns_condition_leaves_no_cyclic_garbage():
+    """Each stage stops _lex_subsets early; the generators die by reference count."""
+    system = zmat([[1, 1, -1, 2, -2]])
+    gc.collect()
+    gc.disable()
+    try:
+        assert columns_condition(system) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_non_regular_single_row():

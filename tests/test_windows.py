@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -211,6 +212,27 @@ def test_pythagorean_large_window_matches_plain_int_oracle():
 def test_enumerate_roots_rejects_constants():
     with pytest.raises(ValueError):
         enumerate_roots(MultiPoly.constant(INTEGERS, 0, zint(1)), Window.interval(INTEGERS, 1, 3))
+
+
+@pytest.mark.parametrize(
+    "domain,text,window",
+    [
+        (INTEGERS, "x + y - z", Window.interval(INTEGERS, 1, 12)),  # separable hash
+        (INTEGERS, "x*z + y - 2*z", Window.interval(INTEGERS, 1, 12)),  # linear closed form
+        (INTEGERS, "x*z^2 + y - 2*z", Window.interval(INTEGERS, 1, 8)),  # scan
+        (GF3, "x^2 + y^2 + 2*z^2", Window.enumeration_prefix(GF3, 12)),
+    ],
+)
+def test_enumerate_roots_leaves_no_cyclic_garbage(domain, text, window):
+    """The descent's tables are freed by reference count, not left for the cyclic GC."""
+    poly = pp(domain, text)
+    gc.collect()
+    gc.disable()
+    try:
+        assert enumerate_roots(poly, window).tuples
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
