@@ -247,91 +247,135 @@ def _minimal_edges(edges):
 # ---------------------------------------------------------------------------
 
 
-def _least_valid_coloring(size, edges, colors):
+def _least_valid_coloring(size, edges, colors, start=()):
     """Lexicographically least coloring with no monochromatic edge, or None.
 
-    Edges are sorted tuples of distinct positions.  Depth-first over
-    positions in window order, iteratively (per-position arrays replace the
-    call stack); a fresh color is only tried as the single next unused
-    color, which is sound for lexicographic minimality (relabeling any valid
+    Edges are sorted tuples of distinct positions.  A position in no edge
+    takes color 0, as it does in the least valid coloring, and is not
+    searched.  Depth-first over the other positions in window order,
+    iteratively (per-position arrays replace the call stack); a fresh color
+    is only tried as the single next unused color, which is sound for
+    lexicographic minimality (relabeling the searched positions of any valid
     coloring canonically never increases it).
 
-    Forward checking: positions are colored in order, so an edge has one
-    uncolored member, its last, right after its second-to-last member is
-    colored.  If the other members then share a color c, c leaves the last
-    member's mask of allowed colors, and an empty mask closes the branch.
-    This only cuts branches without a valid completion, so the first valid
-    leaf, and the result, are those of plain backtracking.
+    Unit propagation: each position keeps a bitmask of allowed colors, and
+    is fixed to c once it is colored c or c is the only color left in its
+    mask.  When a position is fixed to c, each edge through it is checked:
+    if every member is fixed to c the branch is closed, and if exactly one
+    member is not, c leaves that member's mask, which may fix it in turn.
+    Every completion of the branch colors each fixed position with its
+    color, so such an edge would be monochromatic: propagation removes only
+    colors that no valid completion uses, and the first valid leaf, and the
+    result, are those of plain backtracking.
+
+    start, when given, is this function's result for range(len(start))
+    under the edges inside it, and the search resumes at the leaf extending
+    it.  A valid coloring restricts to a valid coloring of that
+    sub-hypergraph, so every lexicographically smaller prefix has no valid
+    completion: skipping them leaves the result unchanged.
     """
     if any(len(e) == 1 for e in edges):
         return None
     if size == 0:
         return ()
     colors = min(colors, size)  # a fresh color beyond the size is never reached
-    closing = [[] for _ in range(size)]  # (mask of the other members, last member)
+    if colors == 1:
+        return None if edges else (0,) * size
+    through = [[] for _ in range(size)]  # masks of the edges through each position
     for e in edges:
-        closing[e[-2]].append((sum(1 << i for i in e[:-2]), e[-1]))
-    allowed = [(1 << colors) - 1] * size
-    trail = []  # (position, its mask before a removal)
-    assignment = [0] * size
-    # classes[c] has bit i when assignment[i] == c; bits at or past the
-    # current position may be stale, and closing masks never read them
-    classes = [0] * colors
-    used = [0] * size  # colors used before each position
-    next_color = [0] * size
-    mark = [0] * size  # trail length when the position was entered
-    pos = 0
-    while True:
-        while len(trail) > mark[pos]:
+        m = 0
+        for i in e:
+            m |= 1 << i
+        for i in e:
+            through[i].append(m)
+    order = [i for i, masks in enumerate(through) if masks]  # the positions searched
+    # a fixed position's mask is its one color; a position in no edge takes color 0
+    allowed = [(1 << colors) - 1 if masks else 1 for masks in through]
+    fixed = [0] * colors  # fixed[c] has bit i when position i is fixed to c
+    trail = []  # (position, its mask before a change)
+    depth = len(order)
+    used = [0] * depth  # colors used before each searched position
+    next_color = [0] * depth
+    mark = [0] * depth  # trail length when the position was entered
+    resume = len(start)  # positions below this begin at start's color while on its path
+    if depth and order[0] < resume:
+        next_color[0] = start[order[0]]
+    t = 0
+    while t < depth:
+        while len(trail) > mark[t]:
             i, mask = trail.pop()
+            now = allowed[i]
+            if not now & (now - 1):
+                fixed[now.bit_length() - 1] ^= 1 << i
             allowed[i] = mask
-        c = next_color[pos]
-        limit = min(colors, used[pos] + 1)
-        while c < limit and not allowed[pos] >> c & 1:
-            c += 1
-        if c == limit:
-            if pos == 0:
+        pos = order[t]
+        low = next_color[t]
+        left = allowed[pos] >> low
+        c = low + (left & -left).bit_length() - 1  # the least allowed color from low on
+        if not left or c > used[t]:
+            if t == 0:
                 return None
-            pos -= 1
+            t -= 1
             continue
-        next_color[pos] = c + 1
-        here = 1 << pos
-        classes[assignment[pos]] &= ~here
-        assignment[pos] = c
-        same = classes[c] = classes[c] | here
+        next_color[t] = c + 1
+        if pos < resume and c != start[pos]:
+            resume = pos + 1  # off start's path: later positions begin at color 0
         bit = 1 << c
-        for rest, last in closing[pos]:
-            if rest & same == rest and allowed[last] & bit:
-                trail.append((last, allowed[last]))
-                allowed[last] ^= bit
-                if not allowed[last]:
-                    break  # wiped out: try the next color
-        else:
-            if pos + 1 == size:
-                return tuple(assignment)
-            pos += 1
-            used[pos] = max(used[pos - 1], c + 1)
-            next_color[pos] = 0
-            mark[pos] = len(trail)
+        if allowed[pos] != bit:  # a position fixed by propagation was propagated then
+            trail.append((pos, allowed[pos]))
+            allowed[pos] = bit
+            fixed[c] |= 1 << pos
+            pending, wiped = 1 << pos, False
+            while pending and not wiped:
+                i = (pending & -pending).bit_length() - 1  # lowest first: conflicts come sooner
+                pending ^= 1 << i
+                b = allowed[i]
+                other = ~fixed[b.bit_length() - 1]  # only other colors get fixed below
+                for m in through[i]:
+                    rest = m & other
+                    if not rest:
+                        wiped = True  # a monochromatic edge
+                        break
+                    if not rest & (rest - 1):
+                        j = rest.bit_length() - 1
+                        a = allowed[j]
+                        if a & b:  # j is not fixed to b's color, so a keeps another
+                            trail.append((j, a))
+                            a ^= b
+                            allowed[j] = a
+                            if not a & (a - 1):
+                                fixed[a.bit_length() - 1] |= rest
+                                pending |= rest
+            if wiped:
+                continue  # try the next color
+        t += 1
+        if t < depth:
+            used[t] = used[t - 1] + (c == used[t - 1])  # c is at most used[t - 1]
+            next_color[t] = start[order[t]] if order[t] < resume else 0
+            mark[t] = len(trail)
+    return tuple(a.bit_length() - 1 for a in allowed)
 
 
-def check_window_l_pr(p, window, colors, injective=False):
-    """Decide l-partition regularity restricted to one finite window."""
-    if colors < 1:
-        raise ValueError("need at least one color")
-    hypergraph = enumerate_roots(p, window, injective)
-    edges = _minimal_edges(hypergraph.edges)
-    constant_root = next((e[0] for e in edges if len(e) == 1), None)
-    coloring = _least_valid_coloring(len(window), edges, colors)
-    # a one-element edge leaves no valid coloring, so at most one of these is set
+def _partition_verdict(window, edges, colors, injective, coloring):
+    # a one-element edge leaves no valid coloring, so at most one of coloring
+    # and constant_root is set
     return WindowCertificate(
         kind="PartitionCertified" if coloring is None else "PartitionColorable",
         window=window,
         colors=colors,
         injective=injective,
         coloring=coloring,
-        constant_root=constant_root,
+        constant_root=next((e[0] for e in edges if len(e) == 1), None),
     )
+
+
+def check_window_l_pr(p, window, colors, injective=False):
+    """Decide l-partition regularity restricted to one finite window."""
+    if colors < 1:
+        raise ValueError("need at least one color")
+    edges = _minimal_edges(enumerate_roots(p, window, injective).edges)
+    coloring = _least_valid_coloring(len(window), edges, colors)
+    return _partition_verdict(window, edges, colors, injective, coloring)
 
 
 def semidecide_l_pr(p, colors, injective=False, budget=20):
@@ -341,14 +385,33 @@ def semidecide_l_pr(p, colors, injective=False, budget=20):
     one carrying the coloring of the last window tried.  A certificate is
     unconditional (compactness); Exhausted is inconclusive and never a
     refutation.
+
+    Prefix windows nest, so one search serves them all.  Roots and minimal
+    edges are enumerated once each time k passes the enumerated prefix, at
+    prefix min(budget, 2k).  The edges of prefix k are the larger prefix's
+    edges inside range(k), and an edge contained in one of them lies inside
+    range(k) too, so prefix k's minimal edges are the larger prefix's
+    minimal edges inside range(k).  Each window's search resumes from the
+    previous window's coloring: every lexicographically smaller assignment
+    was refuted on a sub-hypergraph (see _least_valid_coloring).
     """
     if budget < 1:
         raise ValueError("budget must be positive")
+    if colors < 1:
+        raise ValueError("need at least one color")
+    elements, coloring = (), ()
     for k in range(1, budget + 1):
-        cert = check_window_l_pr(p, Window.enumeration_prefix(p.domain, k), colors, injective)
-        if cert.kind == "PartitionCertified":
-            return cert
-    return replace(cert, kind="Exhausted")
+        if k > len(elements):
+            window = Window.enumeration_prefix(p.domain, min(budget, 2 * k))
+            elements = window.elements
+            edges = _minimal_edges(enumerate_roots(p, window, injective).edges)
+        inside = [e for e in edges if e[-1] < k]
+        coloring = _least_valid_coloring(k, inside, colors, coloring)
+        if coloring is None:
+            break
+    window = Window(p.domain, elements[:k], f"prefix:{k}")
+    cert = _partition_verdict(window, inside, colors, injective, coloring)
+    return cert if coloring is None else replace(cert, kind="Exhausted")
 
 
 # ---------------------------------------------------------------------------

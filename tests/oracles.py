@@ -1,11 +1,11 @@
 """Brute-force oracles that the engines in partreg are tested against."""
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from partreg.polys import eval_ring, substitute_and_clear
 from partreg.rings import DomainElement, enum_element, frac_normalize, one, zero
-from partreg.windows import RootHypergraph
+from partreg.windows import RootHypergraph, Window, check_window_l_pr
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,86 @@ def exhaustive_l_pr_oracle(p, window, colors, injective=False):
         if all(len({coloring[i] for i in e}) > 1 for e in edges):
             return coloring  # a valid coloring: not certified
     return None  # certified
+
+
+# the coloring search of windows before unit propagation, kept as it was
+def forward_checking_coloring(size, edges, colors):
+    """Lexicographically least coloring with no monochromatic edge, or None.
+
+    Edges are sorted tuples of distinct positions.  Depth-first over
+    positions in window order, iteratively (per-position arrays replace the
+    call stack); a fresh color is only tried as the single next unused
+    color, which is sound for lexicographic minimality (relabeling any valid
+    coloring canonically never increases it).
+
+    Forward checking: positions are colored in order, so an edge has one
+    uncolored member, its last, right after its second-to-last member is
+    colored.  If the other members then share a color c, c leaves the last
+    member's mask of allowed colors, and an empty mask closes the branch.
+    This only cuts branches without a valid completion, so the first valid
+    leaf, and the result, are those of plain backtracking.
+    """
+    if any(len(e) == 1 for e in edges):
+        return None
+    if size == 0:
+        return ()
+    colors = min(colors, size)  # a fresh color beyond the size is never reached
+    closing = [[] for _ in range(size)]  # (mask of the other members, last member)
+    for e in edges:
+        closing[e[-2]].append((sum(1 << i for i in e[:-2]), e[-1]))
+    allowed = [(1 << colors) - 1] * size
+    trail = []  # (position, its mask before a removal)
+    assignment = [0] * size
+    # classes[c] has bit i when assignment[i] == c; bits at or past the
+    # current position may be stale, and closing masks never read them
+    classes = [0] * colors
+    used = [0] * size  # colors used before each position
+    next_color = [0] * size
+    mark = [0] * size  # trail length when the position was entered
+    pos = 0
+    while True:
+        while len(trail) > mark[pos]:
+            i, mask = trail.pop()
+            allowed[i] = mask
+        c = next_color[pos]
+        limit = min(colors, used[pos] + 1)
+        while c < limit and not allowed[pos] >> c & 1:
+            c += 1
+        if c == limit:
+            if pos == 0:
+                return None
+            pos -= 1
+            continue
+        next_color[pos] = c + 1
+        here = 1 << pos
+        classes[assignment[pos]] &= ~here
+        assignment[pos] = c
+        same = classes[c] = classes[c] | here
+        bit = 1 << c
+        for rest, last in closing[pos]:
+            if rest & same == rest and allowed[last] & bit:
+                trail.append((last, allowed[last]))
+                allowed[last] ^= bit
+                if not allowed[last]:
+                    break  # wiped out: try the next color
+        else:
+            if pos + 1 == size:
+                return tuple(assignment)
+            pos += 1
+            used[pos] = max(used[pos - 1], c + 1)
+            next_color[pos] = 0
+            mark[pos] = len(trail)
+
+
+def semidecide_per_window(p, colors, injective=False, budget=20):
+    """The per-window semi-decider: each prefix window enumerated and searched afresh."""
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    for k in range(1, budget + 1):
+        cert = check_window_l_pr(p, Window.enumeration_prefix(p.domain, k), colors, injective)
+        if cert.kind == "PartitionCertified":
+            return cert
+    return replace(cert, kind="Exhausted")
 
 
 def is_irreducible_by_trial_division(x):

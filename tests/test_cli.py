@@ -376,6 +376,13 @@ def test_bad_delta_is_exit_1(capsys, delta):
     assert err == f"error: --delta must be a rational in (0, 1], not {delta!r}\n"
 
 
+def test_search_checks_the_budget_before_the_colors(capsys):
+    argv = ["search", "--poly", "x+y-z", "--budget", "0", "--colors", "0"]
+    assert run(capsys, *argv) == (EXIT_ERROR, "", "error: budget must be positive\n")
+    argv = ["search", "--poly", "x+y-z", "--budget", "3", "--colors", "0"]
+    assert run(capsys, *argv) == (EXIT_ERROR, "", "error: need at least one color\n")
+
+
 def test_deep_parentheses_are_exit_1(capsys):
     ok = "(" * 200 + "x+y-z" + ")" * 200
     assert run(capsys, "roots", "--poly", ok, "--window", "1..5")[0] == EXIT_DEFINITIVE

@@ -2,17 +2,20 @@
 
 The oracles below are the earlier recursive backtracking colorer, the
 bound-by-|allowed| branch and bound, the all-pairs edge minimisation and the
-recursive disjoint-family search.  The engines must return exactly what they
-return, avoider tuples and tuple families included.
+recursive disjoint-family search; tests/oracles.py holds the forward-checking
+colorer and the per-window semi-decider.  The engines must return exactly
+what they return, avoider tuples, tuple families and certificates included.
 """
 
+import math
 import random
 
 import pytest
 
+from oracles import forward_checking_coloring, semidecide_per_window
 from partreg.cli import EXIT_DEFINITIVE, main
 from partreg.polys import parse_poly
-from partreg.rings import INTEGERS
+from partreg.rings import INTEGERS, gf_poly_domain
 from partreg.windows import (
     Window,
     _least_valid_coloring,
@@ -22,6 +25,7 @@ from partreg.windows import (
     disjoint_solutions,
     enumerate_roots,
     max_avoiding_subset,
+    semidecide_l_pr,
 )
 
 AP3 = parse_poly(INTEGERS, "x + y - 2*z", var_order=["x", "y", "z"])[0]
@@ -92,9 +96,9 @@ def max_avoiding_subset_oracle(size, edges):
     return tuple(best)
 
 
-def random_hypergraph(rng):
-    """Sorted distinct edges of sizes 1-4 on range(size), size 1-14."""
-    size = rng.randrange(1, 15)
+def random_hypergraph(rng, max_size=14):
+    """Sorted distinct edges of sizes 1-4 on range(size), size 1-max_size."""
+    size = rng.randrange(1, max_size + 1)
     edges = set()
     for _ in range(rng.randrange(0, 3 * size)):
         k = rng.randrange(1, min(4, size) + 1)
@@ -133,11 +137,66 @@ def test_coloring_matches_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
+def test_unit_propagation_matches_forward_checking(seed):
+    rng = random.Random(730 + seed)
+    for _ in range(800):
+        size, edges = random_hypergraph(rng, max_size=16)
+        colors = rng.randrange(1, 5)
+        expected = forward_checking_coloring(size, edges, colors)
+        assert _least_valid_coloring(size, edges, colors) == expected
+        # resumed from the least coloring of a prefix's sub-hypergraph
+        k = rng.randrange(size + 1)
+        start = _least_valid_coloring(k, [e for e in edges if e[-1] < k], colors)
+        if start is None:
+            assert expected is None
+        else:
+            assert _least_valid_coloring(size, edges, colors, start) == expected
+
+
+@pytest.mark.parametrize("seed", range(4))
 def test_max_avoiding_subset_matches_oracle(seed):
     rng = random.Random(720 + seed)
     for _ in range(150):
         size, edges = random_hypergraph(rng)
         assert max_avoiding_subset(size, edges) == max_avoiding_subset_oracle(size, edges)
+
+
+# ---------------------------------------------------------------------------
+# one search across the semi-decider's prefix windows
+# ---------------------------------------------------------------------------
+
+GF2 = gf_poly_domain(2)
+GF4 = gf_poly_domain(4)
+
+
+@pytest.mark.parametrize(
+    "domain,text",
+    [
+        (INTEGERS, "x + y - z"),
+        (INTEGERS, "x + y - 2*z"),
+        (INTEGERS, "x - 2*y"),
+        (INTEGERS, "x*y - z"),
+        (GF2, "x + y + z"),
+        (GF2, "x + t*y + z"),
+        (GF4, "x + y + z"),
+        (GF4, "x + t*y + t*z"),
+    ],
+    ids=str,
+)
+def test_semidecide_matches_per_window_oracle(domain, text):
+    p = parse_poly(domain, text, var_order=["x", "y", "z"])[0]
+    for injective in (False, True):
+        for colors in (1, 2, 3):
+            for budget in range(1, 13):
+                got = semidecide_l_pr(p, colors, injective, budget)
+                expected = semidecide_per_window(p, colors, injective, budget)
+                assert (got.kind, got.window.provenance, got.coloring, got.constant_root) == (
+                    expected.kind,
+                    expected.window.provenance,
+                    expected.coloring,
+                    expected.constant_root,
+                )
+                assert got == expected  # the colors, flags and window elements too
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +276,36 @@ def test_many_disjoint_edges_do_not_recurse():
     avoider = max_avoiding_subset(2000, edges)
     assert len(avoider) == 1000
     assert all(not set(e) <= set(avoider) for e in edges)
+
+
+def test_thirty_colors_match_the_oracle(capsys):
+    # no table is indexed by color mask, so a large palette costs no 2**colors
+    code = main(["window", "--poly", "x+y-z", "--colors", "30", "--window", "1..60"])
+    out = capsys.readouterr().out
+    assert code == EXIT_DEFINITIVE
+    coloring = tuple(int(c) for c in out.split("[", 1)[1].split("]", 1)[0].split(","))
+    # value v sits at position v - 1; the roots of x + y - z are (a, b, a + b)
+    sums = ((a, b) for a in range(1, 60) for b in range(1, 61 - a))
+    edges = sorted({tuple(sorted({a - 1, b - 1, a + b - 1})) for a, b in sums})
+    assert coloring == forward_checking_coloring(60, edges, 30)
+
+
+def test_pythagorean_two_coloring_of_1_to_300(capsys):
+    # forward checking backtracked without end here; 2-colorable up to 7824
+    # (Heule-Kullmann-Marek 2016)
+    argv = ["window", "--poly", "x^2+y^2-z^2", "--colors", "2", "--window", "1..300"]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == EXIT_DEFINITIVE
+    assert out.startswith("verdict: PartitionColorable")
+    coloring = [int(c) for c in out.split("[", 1)[1].split("]", 1)[0].split(",")]
+    assert len(coloring) == 300 and set(coloring) <= {0, 1}
+    color = dict(zip(range(1, 301), coloring))  # value v sits at position v - 1
+    for a in range(1, 301):
+        for b in range(a, 301):
+            c = math.isqrt(a * a + b * b)
+            if c <= 300 and c * c == a * a + b * b:
+                assert len({color[a], color[b], color[c]}) == 2, (a, b, c)
 
 
 def test_color_count_beyond_the_window_is_harmless():
